@@ -8,6 +8,7 @@ Exit codes: 0 success, 2 input/parameter parse failure, 3 non-convergence,
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import logging
 import secrets
@@ -17,7 +18,6 @@ from pathlib import Path
 from . import __version__
 from .errors import (
     ConvergenceError,
-    EdgeListParseError,
     EmptyGraphError,
     EmptySupportError,
     NavsteerError,
@@ -50,6 +50,13 @@ from .util import derive_seed
 logger = logging.getLogger(__name__)
 
 _STRATEGY_CHOICES = {s.value: s for s in Strategy}
+
+# every other NavsteerError or OSError exits with 2
+_EXIT_CODES = {
+    ConvergenceError: 3,
+    NotStronglyConnectedError: 4,
+    EmptySupportError: 5,
+}
 
 
 def _prepare_graph(source: str, strict: bool):
@@ -91,11 +98,12 @@ def _write_json(path: Path, payload: dict) -> None:
 
 
 def _write_pi_csv(path: Path, g: WeightedDigraph, pi, original_index) -> None:
+    labels = (g.label_for(i) for i in range(g.n))
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("node,label,pi\r\n")
-        for i in range(g.n):
-            fh.write(f"{original_index[i]},{g.label_for(i)},"
-                     f"{_format_value(float(pi[i]))}\r\n")
+        writer = csv.writer(fh)
+        writer.writerow(["node", "label", "pi"])
+        writer.writerows(zip(original_index, labels,
+                             map(_format_value, pi.tolist())))
 
 
 def cmd_stationary(args) -> int:
@@ -428,9 +436,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--timing", action="store_true",
                    help="fill the wall_time_ms column (non-reproducible bytes)")
     p.add_argument("--output-dir", default=".")
-    p.add_argument("--tolerance", type=float, default=None)
-    p.add_argument("--max-iterations", type=int, default=None)
-    p.add_argument("--strict", action="store_true")
+    # None defaults let a --config file value win over the built-in default
+    _add_common(p, tolerance_default=None, max_iter_default=None)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("synth", help="generate a synthetic scale-free graph")
@@ -458,27 +465,10 @@ def main(argv=None) -> int:
         format="%(levelname)s: %(message)s", stream=sys.stderr)
     try:
         return args.func(args)
-    except EdgeListParseError as exc:
+    except (NavsteerError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (EmptyGraphError, ValidationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ConvergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except NotStronglyConnectedError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except EmptySupportError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 5
-    except NavsteerError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return next((code for cls, code in _EXIT_CODES.items()
+                     if isinstance(exc, cls)), 2)
 
 
 if __name__ == "__main__":

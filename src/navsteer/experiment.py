@@ -10,6 +10,7 @@ worker count changes wall time only, never output bytes.
 from __future__ import annotations
 
 import concurrent.futures
+import csv
 import hashlib
 import json
 import logging
@@ -361,7 +362,8 @@ def write_records_csv(
     columns = CSV_HEADER.split(",")
 
     def emit(fh: IO[str]) -> None:
-        fh.write(CSV_HEADER + "\r\n")
+        writer = csv.writer(fh)
+        writer.writerow(columns)
         for r in records:
             row = {
                 "graph_id": r.graph_id, "strategy": r.strategy, "phi": r.phi,
@@ -374,20 +376,13 @@ def write_records_csv(
                 "iters_before": r.iters_before, "iters_after": r.iters_after,
                 "wall_time_ms": r.wall_time_ms if include_timing else None,
             }
-            fields = [_csv_quote(_format_value(row[c])) for c in columns]
-            fh.write(",".join(fields) + "\r\n")
+            writer.writerow([_format_value(row[c]) for c in columns])
 
     if hasattr(out, "write"):
         emit(out)
     else:
         with open(out, "w", encoding="utf-8", newline="") as fh:
             emit(fh)
-
-
-def _csv_quote(field: str) -> str:
-    if any(ch in field for ch in ',"\r\n'):
-        return '"' + field.replace('"', '""') + '"'
-    return field
 
 
 def write_records_jsonl(records: Iterable[RunRecord],

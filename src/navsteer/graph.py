@@ -92,12 +92,6 @@ class WeightedDigraph:
         adj.sort_indices()
         return cls(n=n, adjacency=adj, node_labels=node_labels)
 
-    def out_weight(self, j: int) -> float:
-        """Total weight leaving node ``j`` (O(out-degree) column slice)."""
-        a = self.adjacency
-        lo, hi = a.indptr[j], a.indptr[j + 1]
-        return float(a.data[lo:hi].sum())
-
     def out_weights(self) -> np.ndarray:
         return np.asarray(self.adjacency.sum(axis=0)).ravel()
 
@@ -206,62 +200,27 @@ def load_edge_list(source: str | Path | IO[str]) -> WeightedDigraph:
         node_labels=tuple(labels))
 
 
-def _edge_pairs(g: WeightedDigraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(src, dst, weight) arrays of all stored links."""
-    a = g.adjacency
-    cols = _column_of_entries(a)
-    return cols, a.indices.copy(), a.data.copy()
+def _write_order(n: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+    """Permutation of the links ``src -> dst`` that makes reloading keep
+    node indices.
 
-
-def _emission_order(g: WeightedDigraph) -> list[tuple[int, int]]:
-    """Edge emission order such that reloading reproduces node indices.
-
-    First-appearance indexing means the writer must introduce node j only
-    after 0..j-1 (or jointly with j+1, the pattern a fresh source/dest pair
-    creates). A small introduction block per node achieves that; remaining
-    edges follow in sorted order.
+    The loader numbers nodes by first appearance, so node j first shows up
+    either beside a smaller-indexed neighbour or as the source of a fresh
+    pair j -> j+1. Sorting links by their larger endpoint, with such a pair
+    keyed to j instead, reproduces that order; ties sort by (src, dst).
     """
-    src, dst, _ = _edge_pairs(g)
-    out_by_node: dict[int, list[int]] = {}
-    in_by_node: dict[int, list[int]] = {}
-    for s, d in zip(src.tolist(), dst.tolist()):
-        out_by_node.setdefault(s, []).append(d)
-        in_by_node.setdefault(d, []).append(s)
-
-    introduced = [False] * g.n
-    intro: list[tuple[int, int]] = []
-    skipped: list[int] = []
-    for j in range(g.n):
-        if introduced[j]:
-            continue
-        in_small = [s for s in in_by_node.get(j, ()) if introduced[s]]
-        out_small = [d for d in out_by_node.get(j, ()) if introduced[d]]
-        if in_small:
-            edge = (min(in_small), j)
-        elif out_small:
-            edge = (j, min(out_small))
-        elif j + 1 < g.n and (j + 1) in out_by_node.get(j, ()):
-            edge = (j, j + 1)
-        elif out_by_node.get(j):
-            # Not producible by first-appearance indexing; emit something
-            # sensible, at the cost of index-exact round-tripping.
-            edge = (j, min(out_by_node[j]))
-        elif in_by_node.get(j):
-            edge = (min(in_by_node[j]), j)
-        else:
-            skipped.append(j)
-            continue
-        intro.append(edge)
-        introduced[edge[0]] = True
-        introduced[edge[1]] = True
-    if skipped:
+    key = np.maximum(src, dst)
+    has_smaller = np.zeros(n, dtype=bool)
+    has_smaller[key] = True
+    fresh_pair = (dst == src + 1) & ~has_smaller[src]
+    key[fresh_pair] = src[fresh_pair]
+    degree = np.bincount(src, minlength=n) + np.bincount(dst, minlength=n)
+    linkless = np.flatnonzero(degree == 0)
+    if linkless.size:
         logger.warning(
             "%d node(s) without links cannot be represented in an edge list "
-            "and were omitted: %s", len(skipped), skipped[:10])
-    seen = set(intro)
-    rest = sorted((int(s), int(d)) for s, d in zip(src, dst)
-                  if (int(s), int(d)) not in seen)
-    return intro + rest
+            "and were omitted: %s", linkless.size, linkless[:10].tolist())
+    return np.lexsort((dst, src, key))
 
 
 def _format_weight(w: float) -> str:
@@ -277,17 +236,23 @@ def write_edge_list(
     """Serialize a graph as a tab-separated edge list plus metadata sidecar.
 
     The sidecar (``<path>.meta.json``) records node count, total weight and
-    any provenance entries passed by the caller. Edge order is chosen so
-    that loading the written file reproduces the same internal indexing
-    (round-trip identity).
+    any provenance entries passed by the caller.
+
+    Loading the written file gives back the same labels, links and weights;
+    nodes without links cannot be written and are left out with a warning.
+    Node indices come back identical too whenever every node links with a
+    lower-indexed node or links to the next index. That holds for every
+    graph loaded from a file without self-loop or zero-weight lines.
     """
     path = Path(path)
-    src, dst, wts = _edge_pairs(g)
-    weight_of = {(int(s), int(d)): float(w) for s, d, w in zip(src, dst, wts)}
+    a = g.adjacency
+    src, dst = _column_of_entries(a), a.indices
+    order = _write_order(g.n, src, dst)
+    labels = g.node_labels or [str(i) for i in range(g.n)]
+    src, dst, wts = src[order].tolist(), dst[order].tolist(), a.data[order].tolist()
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for s, d in _emission_order(g):
-            fh.write(f"{g.label_for(s)}\t{g.label_for(d)}\t"
-                     f"{_format_weight(weight_of[(s, d)])}\n")
+        fh.writelines(f"{labels[s]}\t{labels[d]}\t{_format_weight(w)}\n"
+                      for s, d, w in zip(src, dst, wts))
     meta = {
         "nodes": g.n,
         "links": g.edge_count(),

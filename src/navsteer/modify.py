@@ -270,8 +270,7 @@ def combine(
     pi = _check_pi(pi, g.n)
     pos, rows, cols, weights, masses = _eligible_entries(g, t, pi)
 
-    mask = _target_mask(t, g.n)
-    l_b = (b - 1.0) * float(g.in_weights()[mask].sum())
+    l_b = weight_budget(g, t, b)
     bias_budget = alpha * l_b
     slack = _BUDGET_FIT_SLACK * max(1.0, l_b)
 

@@ -5,6 +5,7 @@ stable API (0 ok, 2 parse/validation, 3 convergence, 4 connectivity under
 --strict, 5 empty support, 6 partial sweep failure).
 """
 
+import csv
 import hashlib
 import json
 
@@ -56,6 +57,19 @@ def test_stationary_default_output_name(tmp_path, t4_file, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert main(["stationary", str(t4_file)]) == 0
     assert (tmp_path / "t4.pi.csv").exists()
+
+
+def test_stationary_csv_quotes_labels(tmp_path):
+    # only tabs separate edge-list fields, so labels may hold , and "
+    path = tmp_path / "q.tsv"
+    path.write_text('a,b\td"e\nd"e\tc\nc\ta,b\nd"e\ta,b\n')
+    out = tmp_path / "pi.csv"
+    assert main(["stationary", str(path), "-o", str(out)]) == 0
+    with open(out, newline="", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [(r["node"], r["label"]) for r in rows] == [
+        ("0", "a,b"), ("1", 'd"e'), ("2", "c")]
+    assert sum(float(r["pi"]) for r in rows) == pytest.approx(1.0)
 
 
 def test_parse_error_exit_code(tmp_path, capsys):

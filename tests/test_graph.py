@@ -107,13 +107,30 @@ def test_label_lookup(t4):
     assert t4.label_index()["p4"] == 3
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(3, 30),
-       integer_weights=st.booleans())
-def test_write_load_round_trip(tmp_path_factory, seed, n, integer_weights):
-    """Loading a written file reproduces indices, labels and weights."""
+       integer_weights=st.booleans(), from_text=st.booleans())
+def test_write_load_round_trip(tmp_path_factory, seed, n, integer_weights,
+                               from_text):
+    """Loading a written file reproduces indices, labels and weights.
+
+    Inputs are spanning-cycle graphs, or graphs the loader builds from random
+    edge-list text (shuffled labels, no self-loops), where a node need not
+    link with its predecessor index.
+    """
     rng = np.random.default_rng(seed)
-    g = random_scc_graph(rng, n, integer_weights=integer_weights)
+    if from_text:
+        labels = [f"page {k}" for k in rng.permutation(n)]
+        m = int(rng.integers(1, 3 * n))
+        src = rng.integers(0, n, size=m)
+        dst = (src + rng.integers(1, n, size=m)) % n
+        wts = (rng.integers(1, 5, size=m) if integer_weights
+               else rng.uniform(0.1, 3.0, size=m))
+        text = "".join(f"{labels[s]}\t{labels[d]}\t{w!r}\n"
+                       for s, d, w in zip(src, dst, wts.tolist()))
+        g = load_edge_list(io.StringIO(text))
+    else:
+        g = random_scc_graph(rng, n, integer_weights=integer_weights)
     path = tmp_path_factory.mktemp("rt") / "g.tsv"
     write_edge_list(g, path)
     g2 = load_edge_list(path)
@@ -129,6 +146,15 @@ def test_integer_weights_written_without_decimal(tmp_path):
     body = path.read_text()
     assert "\t2\n" in body
     assert "\t0.5\n" in body
+
+
+def test_write_omits_linkless_nodes_with_warning(tmp_path, caplog):
+    g = WeightedDigraph.from_edges(3, [0, 2], [2, 0], node_labels=("a", "b", "c"))
+    path = tmp_path / "g.tsv"
+    with caplog.at_level(logging.WARNING, logger="navsteer.graph"):
+        write_edge_list(g, path)
+    assert "1 node(s) without links" in caplog.text
+    assert load_edge_list(path).node_labels == ("a", "c")
 
 
 def test_write_emits_metadata_sidecar(tmp_path, t4):
