@@ -127,13 +127,18 @@ def cmd_stationary(args) -> int:
     return 0
 
 
+def _read_stripped_lines(path: str) -> list[str]:
+    """Stripped lines of a UTF-8 text file, a leading byte-order mark dropped."""
+    try:
+        with open(path, "r", encoding="utf-8-sig") as fh:
+            return [raw.strip() for raw in fh]
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path} is not valid UTF-8 ({exc.reason})") from None
+
+
 def _read_target_labels(path: str) -> list[str]:
-    labels = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.strip()
-            if line and not line.startswith("#"):
-                labels.append(line)
+    labels = [line for line in _read_stripped_lines(path)
+              if line and not line.startswith("#")]
     if not labels:
         raise ValidationError(f"no target labels found in {path}")
     return labels
@@ -229,23 +234,21 @@ _CONFIG_KEYS = {
 def _parse_config_file(path: str) -> dict:
     """Flat key = value sweep configuration, keys named after SweepConfig."""
     values: dict = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ValidationError(
-                    f"{path}:{lineno}: expected 'key = value', got {line!r}")
-            key, _, value = line.partition("=")
-            key, value = key.strip(), value.strip()
-            if key not in _CONFIG_KEYS:
-                raise ValidationError(f"{path}:{lineno}: unknown key {key!r}")
-            try:
-                values[key] = _CONFIG_KEYS[key](value)
-            except (ValueError, KeyError):
-                raise ValidationError(
-                    f"{path}:{lineno}: bad value for {key}: {value!r}")
+    for lineno, line in enumerate(_read_stripped_lines(path), start=1):
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ValidationError(
+                f"{path}:{lineno}: expected 'key = value', got {line!r}")
+        key, _, value = line.partition("=")
+        key, value = key.strip(), value.strip()
+        if key not in _CONFIG_KEYS:
+            raise ValidationError(f"{path}:{lineno}: unknown key {key!r}")
+        try:
+            values[key] = _CONFIG_KEYS[key](value)
+        except (ValueError, KeyError):
+            raise ValidationError(
+                f"{path}:{lineno}: bad value for {key}: {value!r}")
     return values
 
 

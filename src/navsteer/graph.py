@@ -136,9 +136,23 @@ def _column_of_entries(a: csc_array) -> np.ndarray:
 def _iter_lines(source) -> Iterator[str]:
     if hasattr(source, "read"):
         yield from source
-    else:
-        with open(source, "r", encoding="utf-8") as fh:
+        return
+    # utf-8-sig drops a leading byte-order mark, which would otherwise
+    # become part of the first node label
+    try:
+        with open(source, "r", encoding="utf-8-sig") as fh:
             yield from fh
+    except UnicodeDecodeError as exc:
+        # only this path rereads the file. bytes.splitlines breaks lines
+        # where text mode does, and a line changes on a decode-with-
+        # replacement round trip exactly when it is not valid UTF-8
+        with open(source, "rb") as fh:
+            lines = fh.read().splitlines()
+        bad = next((lineno for lineno, line in enumerate(lines, start=1)
+                    if line.decode("utf-8", "replace").encode("utf-8") != line),
+                   None)
+        raise EdgeListParseError(f"not valid UTF-8 ({exc.reason})",
+                                 line_number=bad) from None
 
 
 def load_edge_list(source: str | Path | IO[str]) -> WeightedDigraph:
@@ -148,8 +162,10 @@ def load_edge_list(source: str | Path | IO[str]) -> WeightedDigraph:
     defaulting to 1.0. Lines whose first non-blank character is ``#`` and
     blank lines are skipped. Node identifiers are arbitrary strings and are
     assigned dense indices in order of first appearance. Parallel links are
-    summed; self-loops are dropped with a counted warning. Malformed lines
-    raise :class:`EdgeListParseError` carrying the 1-based line number.
+    summed; self-loops are dropped with a counted warning. Files are read
+    as UTF-8, ignoring a leading byte-order mark. Malformed lines, and
+    lines that are not UTF-8, raise :class:`EdgeListParseError` carrying
+    the 1-based line number.
     """
     index: dict[str, int] = {}
     labels: list[str] = []

@@ -204,44 +204,24 @@ def insert_links(
 
 def _eligible_entries(
     g: WeightedDigraph, t: np.ndarray, pi: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Stored-entry view of the links eligible for bias weight.
 
-    Returns (data positions, rows, cols, weights, unnormalized masses) of
-    all existing links that point at a target.
+    Returns (data positions, weights, unnormalized masses) of all existing
+    links that point at a target. The mass of link j -> i is
+    pi[i] * W[i, j] * pi[j]: heavily visited endpoints make a link a more
+    plausible recipient of bias.
     """
     a = g.adjacency
-    rows = a.indices
-    cols = _column_of_entries(a)
-    mask = _target_mask(t, g.n)
-    eligible = mask[rows]
+    eligible = _target_mask(t, g.n)[a.indices]
     if not eligible.any():
         raise EmptySupportError("no existing link points at any target")
     pos = np.flatnonzero(eligible)
-    rows, cols = rows[pos], cols[pos]
     weights = a.data[pos]
-    masses = pi[rows] * weights * pi[cols]
-    total = float(masses.sum())
-    if total <= 0:
+    masses = pi[a.indices[pos]] * weights * pi[_column_of_entries(a)[pos]]
+    if float(masses.sum()) <= 0:
         raise EmptySupportError("eligible links carry zero probability mass")
-    return pos, rows, cols, weights, masses
-
-
-def eligible_link_distribution(
-    g: WeightedDigraph, t: np.ndarray, pi: np.ndarray
-) -> csc_array:
-    """Probability of picking each existing target in-link for extra weight.
-
-    Entry (i, j) is proportional to pi[i] * t[i] * W[i, j] * pi[j]: heavily
-    visited endpoints make a link a more plausible recipient of bias. The
-    returned matrix sums to exactly 1 over the eligible support.
-    """
-    pi = _check_pi(pi, g.n)
-    pos, rows, cols, _, masses = _eligible_entries(g, t, pi)
-    probs = masses / masses.sum()
-    dist = coo_array((probs, (rows, cols)), shape=(g.n, g.n)).tocsc()
-    dist.sort_indices()
-    return dist
+    return pos, weights, masses
 
 
 def combine(
@@ -255,43 +235,41 @@ def combine(
     """Split the budget l(b): a fraction ``alpha`` biases existing links,
     the rest is spent on link insertion.
 
-    Bias phase: links are drawn sequentially without replacement from the
-    eligible-link distribution (renormalized after each draw) and their
+    Bias phase: eligible links are taken in the order of the keys
+    E / mass with E ~ Exp(1), which has the distribution of sequential
+    draws without replacement weighted by mass (Efraimidis & Spirakis,
+    IPL 97(5), 2006); zero-mass links are never taken. Each taken link's
     weight is multiplied by ``b``, consuming (b - 1) x weight of budget.
-    Links are indivisible; the first drawn link whose full consumption does
-    not fit ends the phase, and whatever budget is left (rounded half-up to
-    a unit-link count) is inserted on the partially modified graph using
-    the original stationary vector.
+    Links are indivisible, and the phase stops at the first link in that
+    order that would find the remaining budget used up or too small for
+    its full cost. Whatever budget is left (rounded half-up to a unit-link
+    count) is inserted on the partially modified graph using the original
+    stationary vector.
     """
     if not (math.isfinite(b) and b > 1.0):
         raise ValidationError(f"combined strategy needs bias strength > 1, got {b!r}")
     if not (0.0 <= alpha <= 1.0):
         raise ValidationError(f"alpha must lie in [0, 1], got {alpha!r}")
     pi = _check_pi(pi, g.n)
-    pos, rows, cols, weights, masses = _eligible_entries(g, t, pi)
+    pos, weights, masses = _eligible_entries(g, t, pi)
 
     l_b = weight_budget(g, t, b)
     bias_budget = alpha * l_b
     slack = _BUDGET_FIT_SLACK * max(1.0, l_b)
 
-    adj = g.adjacency.copy()
-    adj.data = adj.data.copy()
-    active = masses.astype(np.float64).copy()
-    consumed = 0.0
-    while bias_budget - consumed > slack:
-        remaining_mass = active.sum()
-        if remaining_mass <= 0:
-            break
-        cum = np.cumsum(active)
-        k = int(np.searchsorted(cum, rng.random() * remaining_mass, side="right"))
-        k = min(k, active.size - 1)
-        cost = (b - 1.0) * weights[k]
-        if cost > bias_budget - consumed + slack:
-            break  # indivisible link does not fit; leftover goes to insertion
-        adj.data[pos[k]] *= b
-        consumed += cost
-        active[k] = 0.0
+    live = np.flatnonzero(masses > 0)
+    keys = rng.exponential(size=live.size) / masses[live]
+    order = live[np.argsort(keys, kind="stable")]
+    costs = (b - 1.0) * weights[order]
+    # cumsum adds in draw order, so spent[k] is what k sequential draws consume
+    spent = np.concatenate(([0.0], np.cumsum(costs)))
+    left = bias_budget - spent[:-1]
+    stops = (left <= slack) | (costs > left + slack)
+    k = int(np.argmax(np.append(stops, True)))
+    consumed = float(spent[k])
 
+    adj = g.adjacency.copy()
+    adj.data[pos[order[:k]]] *= b
     partially_modified = g.with_adjacency(adj)
     insert_count = round_half_up(l_b - consumed)
     if insert_count >= 1:

@@ -81,6 +81,40 @@ def test_parse_error_exit_code(tmp_path, capsys):
     assert "line 1" in err
 
 
+def test_byte_order_mark_is_not_part_of_a_label(tmp_path, capsys):
+    # with the mark kept, the first label would be '\ufeffa', a second
+    # node beside 'a', and the two-node cycle would gain a dangling node
+    path = tmp_path / "bom.tsv"
+    path.write_text("a\tb\nb\ta\n", encoding="utf-8-sig")
+    targets = tmp_path / "targets.txt"
+    targets.write_text("a\n", encoding="utf-8-sig")
+    out = tmp_path / "pi.csv"
+    assert main(["stationary", str(path), "-o", str(out)]) == 0
+    assert read_crlf(out)[1:3] == ["0,a,0.5", "1,b,0.5"]
+    outdir = tmp_path / "out"
+    assert main(["modify", str(path), "--strategy", "bias",
+                 "--bias-strength", "2", "--targets-file", str(targets),
+                 "--seed", "1", "--output-dir", str(outdir)]) == 0
+    meta = json.loads((outdir / "bom.modified.tsv.meta.json").read_text())
+    assert meta["targets"] == ["a"]
+
+
+def test_non_utf8_input_exit_code(tmp_path, t4_file, capsys):
+    bad = tmp_path / "latin1.tsv"
+    # a lone CR ends a line as well
+    bad.write_bytes(b"a\tb\rb\tc\r\ncaf\xe9\tb\nc\ta\n")
+    assert main(["stationary", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: line 3: not valid UTF-8")
+    assert "Traceback" not in err
+    targets = tmp_path / "targets.txt"
+    targets.write_bytes(b"p\xe91\n")
+    assert main(["modify", str(t4_file), "--strategy", "bias",
+                 "--bias-strength", "2", "--targets-file", str(targets),
+                 "--seed", "1", "--output-dir", str(tmp_path)]) == 2
+    assert "not valid UTF-8" in capsys.readouterr().err
+
+
 def test_missing_file_exit_code(tmp_path, capsys):
     assert main(["stationary", str(tmp_path / "nope.tsv")]) == 2
 

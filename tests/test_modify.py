@@ -16,14 +16,15 @@ from navsteer import (
     stationary,
     transition_matrix,
 )
+from navsteer.graph import _column_of_entries
 from navsteer.modify import (
     LinkBudget,
     ModificationSpec,
     Strategy,
     apply_modification,
     click_bias,
+    _eligible_entries,
     combine,
-    eligible_link_distribution,
     insert_links,
     link_budget,
     weight_budget,
@@ -226,33 +227,87 @@ def test_insert_does_not_mutate_inputs(t4):
 
 # ------------------------------------------------------ eligible links
 
+def eligible_probs(g, t, pi):
+    """{(dst, src): probability} of the bias draw, from combine's masses."""
+    pos, _, masses = _eligible_entries(g, t, pi)
+    a = g.adjacency
+    links = zip(a.indices[pos].tolist(), _column_of_entries(a)[pos].tolist())
+    return dict(zip(links, (masses / masses.sum()).tolist()))
+
+
 def test_eligible_distribution_single_support(t4):
-    dist = eligible_link_distribution(t4, T1, T4_PI)
-    assert dist[0, 1] == 1.0
-    assert dist.sum() == pytest.approx(1.0)
+    probs = eligible_probs(t4, T1, T4_PI)
+    assert probs == {(0, 1): 1.0}
 
 
 def test_eligible_distribution_toy_pair(t4):
     # targets p1 and p3 are both fed only by p2 with equal weight and
     # equal stationary mass, so the two eligible links split evenly
-    dist = eligible_link_distribution(t4, np.array([1.0, 0, 1.0, 0]), T4_PI)
-    assert dist[0, 1] == pytest.approx(0.5)
-    assert dist[2, 1] == pytest.approx(0.5)
+    probs = eligible_probs(t4, np.array([1.0, 0, 1.0, 0]), T4_PI)
+    assert probs.keys() == {(0, 1), (2, 1)}
+    assert probs[(0, 1)] == pytest.approx(0.5)
+    assert probs[(2, 1)] == pytest.approx(0.5)
+    assert sum(probs.values()) == pytest.approx(1.0)
 
 
 def test_eligible_distribution_uniform_on_regular_graph():
     g = make_cycle3()
     pi = np.full(3, 1 / 3)
-    dist = eligible_link_distribution(g, np.ones(3), pi)
-    assert np.allclose(dist.data, 1 / 3)
+    probs = eligible_probs(g, np.ones(3), pi)
+    assert len(probs) == 3
+    assert np.allclose(list(probs.values()), 1 / 3)
 
 
 def test_eligible_distribution_empty_support_raises():
-    # node 2 has no in-links at all
     from navsteer import WeightedDigraph
     g = WeightedDigraph.from_edges(3, [0, 1, 2], [1, 0, 0])
+    rng = np.random.default_rng(0)
+    # node 2 has no in-links at all
     with pytest.raises(EmptySupportError):
-        eligible_link_distribution(g, np.array([0, 0, 1.0]), np.full(3, 1 / 3))
+        combine(g, np.array([0, 0, 1.0]), np.full(3, 1 / 3), b=2.0, alpha=0.5,
+                rng=rng)
+    # node 1's only in-link comes from a page the surfer never visits
+    with pytest.raises(EmptySupportError):
+        combine(g, np.array([0, 1.0, 0]), np.array([0.0, 0.5, 0.5]), b=2.0,
+                alpha=0.5, rng=rng)
+
+
+def test_combine_draws_follow_link_masses():
+    # target p0 has in-links from p1, p2, p3 with masses 1 : 2 : 3 and one
+    # from p4, whose zero stationary mass keeps it out of every draw. Each
+    # link costs (b - 1) x 1 = 1.5; b = 2.5 leaves inserted (integer) weight
+    # distinguishable from biased weight by its fractional part.
+    from navsteer import WeightedDigraph
+    g = WeightedDigraph.from_edges(5, [1, 2, 3, 4, 0], [0, 0, 0, 0, 1])
+    t = np.array([1.0, 0, 0, 0, 0])
+    pi = np.array([0.4, 0.1, 0.2, 0.3, 0.0])
+    masses = np.array([1.0, 2.0, 3.0])
+    l_b = weight_budget(g, t, 2.5)
+
+    def biased(alpha, seed):
+        g2, _ = combine(g, t, pi, b=2.5, alpha=alpha,
+                        rng=np.random.default_rng(seed))
+        return {j for j in range(1, 5) if g2.adjacency[0, j] % 1 == 0.5}
+
+    def room(links):
+        # a bias budget with room for `links` links and not one more
+        return (1.5 * links + 0.75) / l_b
+
+    assert biased(1.0, 0) == {1, 2, 3}
+    draws = 2000
+    first = np.zeros(3)
+    one_before_three = 0
+    for seed in range(draws):
+        (head,) = biased(room(1), seed)
+        first[head - 1] += 1
+        if head == 2:
+            # the keys do not depend on alpha, so the same seed with room
+            # for two links reveals the second link drawn
+            (head,) = biased(room(2), seed) - {2}
+        one_before_three += head == 1
+    # standard errors are at most sqrt(0.25 / 2000) = 0.011
+    assert np.allclose(first / draws, masses / masses.sum(), atol=0.035)
+    assert one_before_three / draws == pytest.approx(1 / (1 + 3), abs=0.035)
 
 
 # ----------------------------------------------------------------- combine
@@ -313,6 +368,17 @@ def test_combine_alpha_zero_equals_insertion():
         assert (merged.adjacency != pure.adjacency).nnz == 0
         assert np.array_equal(merged.adjacency.data, pure.adjacency.data)
         assert budget.biased_weight == 0.0
+
+
+def test_combine_alpha_zero_skips_links_cheaper_than_the_slack():
+    # the only eligible link costs 1e-12, below the fit slack, yet an
+    # empty bias budget still draws nothing
+    from navsteer import WeightedDigraph
+    g = WeightedDigraph.from_edges(3, [0, 1, 2], [1, 2, 0], [1.0, 1.0, 1e-12])
+    merged, budget = combine(g, np.array([1.0, 0, 0]), np.full(3, 1 / 3),
+                             b=2.0, alpha=0.0, rng=np.random.default_rng(0))
+    assert budget.biased_weight == 0.0
+    assert np.array_equal(merged.adjacency.data, g.adjacency.data)
 
 
 def test_combine_requires_strict_bias(t4):
