@@ -9,10 +9,10 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
 import logging
 import secrets
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from . import __version__
@@ -32,7 +32,6 @@ from .experiment import (
     lorenz_report,
     run_single_detailed,
     sweep,
-    write_failure_manifest,
     write_records_csv,
     write_records_jsonl,
 )
@@ -45,11 +44,9 @@ from .surfer import (
     transition_matrix,
 )
 from .targets import TargetSet, sample_target_sets, write_targets_csv
-from .util import derive_seed
+from .util import derive_seed, write_json
 
 logger = logging.getLogger(__name__)
-
-_STRATEGY_CHOICES = {s.value: s for s in Strategy}
 
 # every other NavsteerError or OSError exits with 2
 _EXIT_CODES = {
@@ -62,13 +59,13 @@ _EXIT_CODES = {
 def _prepare_graph(source: str, strict: bool):
     """Load an edge list and reduce to the largest SCC unless --strict.
 
-    Returns (graph, info) where info records the reduction and the original
-    index of every retained node.
+    Returns the graph, the original index of each of its nodes and the
+    provenance fields that every sidecar records about the reduction.
     """
     g = load_edge_list(source)
     if g.n == 0:
         raise EmptyGraphError(f"no links found in {source}")
-    sub, mapping = largest_scc(g)
+    sub, kept = largest_scc(g)
     if sub.n != g.n:
         if strict:
             raise NotStronglyConnectedError(
@@ -77,48 +74,33 @@ def _prepare_graph(source: str, strict: bool):
         logger.warning(
             "input is not strongly connected; using largest component "
             "(%d of %d nodes)", sub.n, g.n)
-    original_index = [0] * sub.n
-    for old, new in mapping.items():
-        original_index[new] = old
-    info = {
+    provenance = {
         "input_nodes": g.n,
         "nodes_used": sub.n,
         "scc_reduced": sub.n != g.n,
-        "original_index": original_index,
     }
-    return sub, info
+    return sub, kept, provenance
 
 
 def _write_json(path: Path, payload: dict) -> None:
-    body = {"version": __version__}
-    body.update(payload)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(body, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def _write_pi_csv(path: Path, g: WeightedDigraph, pi, original_index) -> None:
-    labels = (g.label_for(i) for i in range(g.n))
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["node", "label", "pi"])
-        writer.writerows(zip(original_index, labels,
-                             map(_format_value, pi.tolist())))
+    write_json(path, {"version": __version__, **payload})
 
 
 def cmd_stationary(args) -> int:
-    g, info = _prepare_graph(args.input, args.strict)
+    g, kept, provenance = _prepare_graph(args.input, args.strict)
     result = stationary(transition_matrix(g), args.tolerance, args.max_iterations)
     out = Path(args.output) if args.output else Path(f"{Path(args.input).stem}.pi.csv")
-    _write_pi_csv(out, g, result.pi, info["original_index"])
+    with open(out, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["node", "label", "pi"])
+        writer.writerows(zip(kept.tolist(), map(g.label_for, range(g.n)),
+                             map(_format_value, result.pi.tolist())))
     _write_json(Path(str(out) + ".meta.json"), {
         "input": str(args.input),
         "tolerance": args.tolerance,
         "max_iterations": args.max_iterations,
         "strict": args.strict,
-        "input_nodes": info["input_nodes"],
-        "nodes_used": info["nodes_used"],
-        "scc_reduced": info["scc_reduced"],
+        **provenance,
         "iterations": result.iterations,
         "residual": result.residual,
     })
@@ -166,18 +148,14 @@ def _resolve_targets(args, g: WeightedDigraph, seed: int) -> TargetSet:
 
 
 def cmd_modify(args) -> int:
-    g, info = _prepare_graph(args.input, args.strict)
+    g, _, provenance = _prepare_graph(args.input, args.strict)
     seed = args.seed if args.seed is not None else secrets.randbits(63)
-    strategy = _STRATEGY_CHOICES[args.strategy]
+    strategy = Strategy(args.strategy)
     ts = _resolve_targets(args, g, seed)
-    if strategy is Strategy.COMBINED:
-        spec = ModificationSpec(strategy=strategy, bias_strength=args.bias_strength,
-                                alpha=args.alpha,
-                                seed=derive_seed(seed, "combine"))
-    else:
-        if args.alpha is not None:
-            raise ValidationError("--alpha only applies to --strategy combined")
-        spec = ModificationSpec(strategy=strategy, bias_strength=args.bias_strength)
+    combined = strategy is Strategy.COMBINED
+    spec = ModificationSpec(strategy=strategy, bias_strength=args.bias_strength,
+                            alpha=args.alpha,
+                            seed=derive_seed(seed, "combine") if combined else None)
 
     stem = Path(args.input).stem
     record, modified = run_single_detailed(
@@ -196,9 +174,7 @@ def cmd_modify(args) -> int:
         "alpha": spec.alpha,
         "seed": seed,
         "targets": [g.label_for(i) for i in ts.members],
-        "scc_reduced": info["scc_reduced"],
-        "input_nodes": info["input_nodes"],
-        "nodes_used": info["nodes_used"],
+        **provenance,
     })
     out_run = outdir / f"{stem}.run.csv"
     write_records_csv([record], out_run, include_timing=args.timing)
@@ -210,24 +186,31 @@ def cmd_modify(args) -> int:
     return 0
 
 
-def _parse_float_list(text: str) -> tuple[float, ...]:
-    try:
-        return tuple(float(x) for x in text.replace(",", " ").split())
-    except ValueError:
-        raise ValidationError(f"cannot parse number list from {text!r}")
+def number_list(text: str) -> tuple[float, ...]:
+    return tuple(float(x) for x in text.replace(",", " ").split())
 
 
+def strategy_list(text: str) -> tuple[Strategy, ...]:
+    return tuple(Strategy(s.strip()) for s in text.split(",") if s.strip())
+
+
+# SweepConfig fields settable from a --config file. Each sweep flag that
+# sets one has it as its dest and parses its value with the same function.
 _CONFIG_KEYS = {
     "graph_id": str,
-    "strategies": lambda v: tuple(
-        _STRATEGY_CHOICES[s.strip()] for s in v.split(",") if s.strip()),
-    "phi_values": _parse_float_list,
-    "bias_strengths": _parse_float_list,
-    "alpha_values": _parse_float_list,
+    "strategies": strategy_list,
+    "phi_values": number_list,
+    "bias_strengths": number_list,
+    "alpha_values": number_list,
     "samples_per_phi": int,
     "master_seed": int,
     "tolerance": float,
     "max_iterations": int,
+}
+
+_MODE_STRENGTHS = {
+    "realistic": REALISTIC_BIAS_STRENGTHS,
+    "saturation": SATURATION_BIAS_STRENGTHS,
 }
 
 
@@ -246,40 +229,22 @@ def _parse_config_file(path: str) -> dict:
             raise ValidationError(f"{path}:{lineno}: unknown key {key!r}")
         try:
             values[key] = _CONFIG_KEYS[key](value)
-        except (ValueError, KeyError):
+        except ValueError:
             raise ValidationError(
-                f"{path}:{lineno}: bad value for {key}: {value!r}")
+                f"{path}:{lineno}: bad value for {key}: {value!r}") from None
     return values
 
 
 def _build_sweep_config(args, stem: str) -> SweepConfig:
-    # precedence: built-in defaults < config file < command-line flags
-    values = _parse_config_file(args.config) if args.config else {}
-    if args.strategies is not None:
-        names = [s.strip() for s in args.strategies.split(",") if s.strip()]
-        bad = [s for s in names if s not in _STRATEGY_CHOICES]
-        if bad:
-            raise ValidationError(f"unknown strategy name(s): {', '.join(bad)}")
-        values["strategies"] = tuple(_STRATEGY_CHOICES[s] for s in names)
-    if args.phi_values is not None:
-        values["phi_values"] = _parse_float_list(args.phi_values)
-    if args.bias_strengths is not None:
-        values["bias_strengths"] = _parse_float_list(args.bias_strengths)
-    elif args.mode == "saturation":
-        values["bias_strengths"] = SATURATION_BIAS_STRENGTHS
-    elif args.mode == "realistic":
-        values["bias_strengths"] = REALISTIC_BIAS_STRENGTHS
-    if args.alpha_values is not None:
-        values["alpha_values"] = _parse_float_list(args.alpha_values)
-    if args.samples is not None:
-        values["samples_per_phi"] = args.samples
-    if args.seed is not None:
-        values["master_seed"] = args.seed
-    if args.tolerance is not None:
-        values["tolerance"] = args.tolerance
-    if args.max_iterations is not None:
-        values["max_iterations"] = args.max_iterations
-    values.setdefault("graph_id", stem)
+    # precedence: built-in defaults < config file < --mode < other flags
+    values = {"graph_id": stem}
+    if args.config:
+        values.update(_parse_config_file(args.config))
+    if args.mode is not None:
+        values["bias_strengths"] = _MODE_STRENGTHS[args.mode]
+    flags = vars(args)
+    values.update((key, flags[key]) for key in _CONFIG_KEYS
+                  if flags.get(key) is not None)
     if "master_seed" not in values:
         values["master_seed"] = secrets.randbits(63)
         logger.warning("no master seed given; generated %d (echoed in config "
@@ -288,7 +253,7 @@ def _build_sweep_config(args, stem: str) -> SweepConfig:
 
 
 def cmd_sweep(args) -> int:
-    g, info = _prepare_graph(args.input, args.strict)
+    g, _, provenance = _prepare_graph(args.input, args.strict)
     stem = Path(args.input).stem
     config = _build_sweep_config(args, stem)
     result = sweep(g, config, workers=args.workers)
@@ -301,24 +266,16 @@ def cmd_sweep(args) -> int:
     else:
         out_records = outdir / f"{stem}.runs.csv"
         write_records_csv(result.records, out_records, include_timing=args.timing)
-    out_failures = write_failure_manifest(result.failures,
-                                          outdir / f"{stem}.failures.json")
-    out_config = outdir / f"{stem}.config.json"
-    _write_json(out_config, {
+    out_failures = outdir / f"{stem}.failures.json"
+    _write_json(out_failures, {
+        "failure_count": len(result.failures),
+        "failures": [asdict(f) for f in result.failures],
+    })
+    _write_json(outdir / f"{stem}.config.json", {
         "input": str(args.input),
-        "graph_id": config.graph_id,
-        "strategies": [s.value for s in config.strategies],
-        "phi_values": list(config.phi_values),
-        "bias_strengths": list(config.bias_strengths),
-        "alpha_values": list(config.alpha_values),
-        "samples_per_phi": config.samples_per_phi,
-        "master_seed": config.master_seed,
-        "tolerance": config.tolerance,
-        "max_iterations": config.max_iterations,
+        **asdict(config),
         "workers": args.workers,
-        "input_nodes": info["input_nodes"],
-        "nodes_used": info["nodes_used"],
-        "scc_reduced": info["scc_reduced"],
+        **provenance,
     })
     total = len(result.records) + len(result.failures)
     print(f"completed {len(result.records)} of {total} runs -> {out_records}")
@@ -349,7 +306,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_lorenz(args) -> int:
-    g, info = _prepare_graph(args.input, args.strict)
+    g, _, provenance = _prepare_graph(args.input, args.strict)
     out = (Path(args.output) if args.output
            else Path(f"{Path(args.input).stem}.lorenz.csv"))
     lorenz_report(g, out, tolerance=args.tolerance,
@@ -358,9 +315,7 @@ def cmd_lorenz(args) -> int:
         "input": str(args.input),
         "tolerance": args.tolerance,
         "max_iterations": args.max_iterations,
-        "input_nodes": info["input_nodes"],
-        "nodes_used": info["nodes_used"],
-        "scc_reduced": info["scc_reduced"],
+        **provenance,
     })
     print(f"wrote concentration curve ({g.n + 1} points) -> {out}")
     return 0
@@ -397,7 +352,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("modify", help="apply one modification strategy")
     p.add_argument("input")
-    p.add_argument("--strategy", required=True, choices=sorted(_STRATEGY_CHOICES),
+    p.add_argument("--strategy", required=True,
+                   choices=sorted(s.value for s in Strategy),
                    help="modification strategy")
     p.add_argument("--bias-strength", type=float, required=True, metavar="B",
                    help="bias strength b (>= 1)")
@@ -422,15 +378,18 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="run a Monte-Carlo strategy sweep")
     p.add_argument("input")
     p.add_argument("--config", help="flat key = value sweep configuration file")
-    p.add_argument("--strategies",
+    p.add_argument("--strategies", type=strategy_list,
                    help="comma-separated subset of bias,insert,combined")
-    p.add_argument("--phi-values", help="target fractions, e.g. '0.01,0.1'")
-    p.add_argument("--bias-strengths", help="bias strengths, e.g. '2,5,10'")
-    p.add_argument("--alpha-values", help="alpha grid for combined runs")
-    p.add_argument("--samples", type=int, default=None,
+    p.add_argument("--phi-values", type=number_list,
+                   help="target fractions, e.g. '0.01,0.1'")
+    p.add_argument("--bias-strengths", type=number_list,
+                   help="bias strengths, e.g. '2,5,10'")
+    p.add_argument("--alpha-values", type=number_list,
+                   help="alpha grid for combined runs")
+    p.add_argument("--samples", dest="samples_per_phi", type=int,
                    help="target samples per phi (default 100)")
-    p.add_argument("--seed", type=int, default=None, help="master seed")
-    p.add_argument("--mode", choices=("realistic", "saturation"), default=None,
+    p.add_argument("--seed", dest="master_seed", type=int, help="master seed")
+    p.add_argument("--mode", choices=sorted(_MODE_STRENGTHS),
                    help="preset bias-strength grid (2..15 or up to 200)")
     p.add_argument("--workers", type=int, default=1,
                    help="worker processes (output bytes are identical for any "

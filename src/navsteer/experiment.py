@@ -10,6 +10,7 @@ worker count changes wall time only, never output bytes.
 from __future__ import annotations
 
 import concurrent.futures
+import contextlib
 import csv
 import hashlib
 import json
@@ -18,12 +19,11 @@ import math
 import time
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import IO, Iterable, Sequence
+from typing import IO, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from . import __version__ as _version
-from .errors import NavsteerError, ValidationError
+from .errors import ValidationError
 from .graph import WeightedDigraph
 from .metrics import target_metrics
 from .modify import ModificationSpec, Strategy, apply_modification, weight_budget
@@ -204,37 +204,60 @@ def run_single_detailed(
     return record, modified
 
 
-def run_single(
-    g: WeightedDigraph,
-    target_set: TargetSet,
-    spec: ModificationSpec,
-    *,
-    tolerance: float = DEFAULT_TOLERANCE,
-    max_iterations: int = DEFAULT_MAX_ITERATIONS,
-    baseline: StationaryResult | None = None,
-    graph_id: str = "graph",
-    phi: float | None = None,
-) -> RunRecord:
-    """Like :func:`run_single_detailed` but returns only the record."""
-    record, _ = run_single_detailed(
-        g, target_set, spec, tolerance=tolerance, max_iterations=max_iterations,
-        baseline=baseline, graph_id=graph_id, phi=phi)
-    return record
+@dataclass(frozen=True)
+class _Task:
+    """One run of a sweep: a strategy and strength on a sampled target set.
+
+    ``phi`` is the requested grid value the record reports.
+    """
+
+    strategy: Strategy
+    phi: float
+    b: float
+    alpha: float | None
+    targets: TargetSet
 
 
-# Worker-process state, set once per worker by the pool initializer so the
-# graph is not re-pickled for every task.
-_worker_env: dict = {}
+@dataclass(frozen=True)
+class _SweepContext:
+    """What every run of one sweep shares, sent once to each pool worker."""
+
+    g: WeightedDigraph
+    baseline: StationaryResult
+    config: SweepConfig
+
+    def run(self, task: _Task) -> RunRecord | RunFailure:
+        config, ts = self.config, task.targets
+        try:
+            spec = _make_spec(task.strategy, task.b, task.alpha,
+                              config.master_seed, task.phi, ts.sample_id)
+            return run_single_detailed(
+                self.g, ts, spec,
+                tolerance=config.tolerance,
+                max_iterations=config.max_iterations,
+                baseline=self.baseline,
+                graph_id=config.graph_id,
+                phi=task.phi,
+            )[0]
+        except Exception as exc:  # isolate the run, keep the sweep going
+            return RunFailure(
+                graph_id=config.graph_id, strategy=task.strategy.value,
+                phi=task.phi, sample_id=ts.sample_id, b=task.b,
+                alpha=task.alpha, error=type(exc).__name__, message=str(exc))
 
 
-def _init_worker(g: WeightedDigraph, baseline: StationaryResult,
-                 config: SweepConfig) -> None:
-    _worker_env["g"] = g
-    _worker_env["baseline"] = baseline
-    _worker_env["config"] = config
+# Set once per pool worker by the initializer, so the graph is pickled once
+# per worker rather than once per chunk of tasks.
+_worker_context: _SweepContext | None = None
 
 
-_Task = tuple[str, float, int, float, float | None, tuple[int, ...], int]
+def _init_worker(context: _SweepContext) -> None:
+    global _worker_context
+    _worker_context = context
+
+
+def _run_in_worker(task: _Task) -> RunRecord | RunFailure:
+    return _worker_context.run(task)
 
 
 def _make_spec(strategy: Strategy, b: float, alpha: float | None,
@@ -245,33 +268,6 @@ def _make_spec(strategy: Strategy, b: float, alpha: float | None,
         return ModificationSpec(strategy=strategy, bias_strength=b,
                                 alpha=alpha, seed=seed)
     return ModificationSpec(strategy=strategy, bias_strength=b)
-
-
-def _run_task(task: _Task):
-    g: WeightedDigraph = _worker_env["g"]
-    baseline: StationaryResult = _worker_env["baseline"]
-    config: SweepConfig = _worker_env["config"]
-    strategy_value, phi, sample_id, b, alpha, members, seed = task
-    strategy = Strategy(strategy_value)
-    ts = TargetSet(members=members, phi=len(members) / g.n,
-                   sample_id=sample_id, seed=seed)
-    try:
-        spec = _make_spec(strategy, b, alpha, config.master_seed, phi, sample_id)
-        record = run_single(
-            g, ts, spec,
-            tolerance=config.tolerance,
-            max_iterations=config.max_iterations,
-            baseline=baseline,
-            graph_id=config.graph_id,
-            phi=phi,
-        )
-        return ("ok", record)
-    except Exception as exc:  # isolate the run, keep the sweep going
-        failure = RunFailure(
-            graph_id=config.graph_id, strategy=strategy_value, phi=phi,
-            sample_id=sample_id, b=b, alpha=alpha,
-            error=type(exc).__name__, message=str(exc))
-        return ("failed", failure)
 
 
 def _enumerate_tasks(g: WeightedDigraph, config: SweepConfig) -> list[_Task]:
@@ -291,13 +287,11 @@ def _enumerate_tasks(g: WeightedDigraph, config: SweepConfig) -> list[_Task]:
         alphas = (tuple(sorted(config.alpha_values))
                   if strategy is Strategy.COMBINED else (None,))
         for phi in sorted(config.phi_values):
-            sets = targets_by_phi[phi]
-            for sample_id in range(config.samples_per_phi):
-                ts = sets[sample_id]
+            for ts in targets_by_phi[phi]:
                 for b in sorted(config.bias_strengths):
                     for alpha in alphas:
-                        tasks.append((strategy.value, float(phi), sample_id,
-                                      float(b), alpha, ts.members, ts.seed))
+                        tasks.append(_Task(strategy, float(phi), float(b),
+                                           alpha, ts))
     return tasks
 
 
@@ -312,23 +306,19 @@ def sweep(g: WeightedDigraph, config: SweepConfig, workers: int = 1) -> SweepRes
     baseline = stationary(transition_matrix(g), config.tolerance,
                           config.max_iterations)
     tasks = _enumerate_tasks(g, config)
-    records: list[RunRecord] = []
-    failures: list[RunFailure] = []
+    context = _SweepContext(g, baseline, config)
     if workers == 1:
-        _init_worker(g, baseline, config)
-        outcomes = map(_run_task, tasks)
+        outcomes = map(context.run, tasks)
     else:
         pool = concurrent.futures.ProcessPoolExecutor(
-            max_workers=workers, initializer=_init_worker,
-            initargs=(g, baseline, config))
+            max_workers=workers, initializer=_init_worker, initargs=(context,))
         with pool:
             chunk = max(1, len(tasks) // (workers * 8))
-            outcomes = list(pool.map(_run_task, tasks, chunksize=chunk))
-    for status, payload in outcomes:
-        if status == "ok":
-            records.append(payload)
-        else:
-            failures.append(payload)
+            outcomes = list(pool.map(_run_in_worker, tasks, chunksize=chunk))
+    records: list[RunRecord] = []
+    failures: list[RunFailure] = []
+    for outcome in outcomes:
+        (records if isinstance(outcome, RunRecord) else failures).append(outcome)
     if failures:
         logger.warning("%d of %d runs failed; see failure manifest",
                        len(failures), len(tasks))
@@ -348,6 +338,16 @@ def _format_value(value) -> str:
     return str(value)
 
 
+@contextlib.contextmanager
+def _text_output(out: str | Path | IO[str], newline: str) -> Iterator[IO[str]]:
+    """An open text stream as is, or a path opened for UTF-8 writing."""
+    if hasattr(out, "write"):
+        yield out
+    else:
+        with open(out, "w", encoding="utf-8", newline=newline) as fh:
+            yield fh
+
+
 def write_records_csv(
     records: Iterable[RunRecord],
     out: str | Path | IO[str],
@@ -360,62 +360,25 @@ def write_records_csv(
     would break the byte-for-byte reproducibility of sweep outputs.
     """
     columns = CSV_HEADER.split(",")
-
-    def emit(fh: IO[str]) -> None:
+    with _text_output(out, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(columns)
         for r in records:
-            row = {
-                "graph_id": r.graph_id, "strategy": r.strategy, "phi": r.phi,
-                "sample_id": r.sample_id, "b": r.b, "alpha": r.alpha,
-                "pi_t": r.pi_t, "pi_t_prime": r.pi_t_prime, "tau": r.tau,
-                "d_in": r.d_in, "d_out": r.d_out,
-                "degree_ratio": r.degree_ratio, "l_b": r.l_b,
-                "inserted_count": r.inserted_count,
-                "biased_weight": r.biased_weight,
-                "iters_before": r.iters_before, "iters_after": r.iters_after,
-                "wall_time_ms": r.wall_time_ms if include_timing else None,
-            }
-            writer.writerow([_format_value(row[c]) for c in columns])
-
-    if hasattr(out, "write"):
-        emit(out)
-    else:
-        with open(out, "w", encoding="utf-8", newline="") as fh:
-            emit(fh)
+            values = [getattr(r, c) for c in columns]
+            if not include_timing:
+                values[-1] = None                 # wall_time_ms
+            writer.writerow(map(_format_value, values))
 
 
 def write_records_jsonl(records: Iterable[RunRecord],
                         out: str | Path | IO[str]) -> None:
     """JSON-lines record dump, one object per run, all fields included."""
-
-    def emit(fh: IO[str]) -> None:
+    with _text_output(out, newline="\n") as fh:
         for r in records:
             d = asdict(r)
             if math.isinf(d["degree_ratio"]):
                 d["degree_ratio"] = "inf"
             fh.write(json.dumps(d, sort_keys=True) + "\n")
-
-    if hasattr(out, "write"):
-        emit(out)
-    else:
-        with open(out, "w", encoding="utf-8", newline="\n") as fh:
-            emit(fh)
-
-
-def write_failure_manifest(failures: Iterable[RunFailure],
-                           path: str | Path) -> Path:
-    path = Path(path)
-    failures = list(failures)
-    payload = {
-        "version": _version,
-        "failure_count": len(failures),
-        "failures": [asdict(f) for f in failures],
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return path
 
 
 def bin_by_degree_ratio(

@@ -7,7 +7,6 @@ describe a node's outgoing links and rows its incoming links.
 
 from __future__ import annotations
 
-import json
 import logging
 import math
 from dataclasses import dataclass
@@ -19,6 +18,7 @@ from scipy.sparse import coo_array, csc_array
 from scipy.sparse.csgraph import connected_components
 
 from .errors import EdgeListParseError, EmptyGraphError, ValidationError
+from .util import write_json
 
 logger = logging.getLogger(__name__)
 
@@ -67,15 +67,9 @@ class WeightedDigraph:
         Self-loops are dropped (with a counted warning) and zero-weight
         entries are eliminated, matching the edge-list loading rules.
         """
-        src = np.asarray(list(sources) if not isinstance(sources, np.ndarray) else sources,
-                         dtype=np.int64)
-        dst = np.asarray(list(destinations) if not isinstance(destinations, np.ndarray) else destinations,
-                         dtype=np.int64)
-        if weights is None:
-            w = np.ones(len(src), dtype=np.float64)
-        else:
-            w = np.asarray(list(weights) if not isinstance(weights, np.ndarray) else weights,
-                           dtype=np.float64)
+        src, dst = _as_array(sources, np.int64), _as_array(destinations, np.int64)
+        w = (np.ones(len(src)) if weights is None
+             else _as_array(weights, np.float64))
         if not (len(src) == len(dst) == len(w)):
             raise ValidationError("edge arrays must have equal length")
         if len(w) and (not np.all(np.isfinite(w)) or np.any(w < 0)):
@@ -119,13 +113,9 @@ class WeightedDigraph:
                                node_labels=self.node_labels)
 
 
-@dataclass(frozen=True)
-class DegreeSummary:
-    """Weighted per-node degrees plus the graph-wide average degree."""
-
-    in_degree: np.ndarray
-    out_degree: np.ndarray
-    average_degree: float
+def _as_array(values: Iterable, dtype) -> np.ndarray:
+    return np.asarray(values if isinstance(values, np.ndarray) else list(values),
+                      dtype=dtype)
 
 
 def _column_of_entries(a: csc_array) -> np.ndarray:
@@ -276,15 +266,14 @@ def write_edge_list(
     }
     if metadata:
         meta.update(metadata)
-    sidecar = Path(str(path) + METADATA_SUFFIX)
-    with open(sidecar, "w", encoding="utf-8") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(Path(str(path) + METADATA_SUFFIX), meta)
     return path
 
 
-def largest_scc(g: WeightedDigraph) -> tuple[WeightedDigraph, dict[int, int]]:
-    """Largest strongly connected component and its old->new index mapping.
+def largest_scc(g: WeightedDigraph) -> tuple[WeightedDigraph, np.ndarray]:
+    """Largest strongly connected component and its nodes' original indices.
+
+    The indices ascend: node i of the component is node ``keep[i]`` of g.
 
     Component size ties break toward the component containing the lowest
     original index. Applying the operation to its own output is a no-op.
@@ -300,19 +289,9 @@ def largest_scc(g: WeightedDigraph) -> tuple[WeightedDigraph, dict[int, int]]:
     np.minimum.at(first_seen, labels, np.arange(g.n))
     best = max(range(n_comp), key=lambda c: (sizes[c], -first_seen[c]))
     keep = np.flatnonzero(labels == best)
-    mapping = {int(old): new for new, old in enumerate(keep)}
     sub = g.adjacency.tocsr()[keep, :][:, keep].tocsc()
     sub.sort_indices()
     sub_labels = (tuple(g.node_labels[i] for i in keep)
                   if g.node_labels is not None else None)
-    return WeightedDigraph(n=len(keep), adjacency=sub, node_labels=sub_labels), mapping
+    return WeightedDigraph(n=len(keep), adjacency=sub, node_labels=sub_labels), keep
 
-
-def degree_summary(g: WeightedDigraph) -> DegreeSummary:
-    """Weighted in/out degree per node and the average degree (Σ W / n)."""
-    if g.n == 0:
-        raise EmptyGraphError("degree summary of an empty graph is undefined")
-    out_deg = g.out_weights()
-    in_deg = g.in_weights()
-    return DegreeSummary(in_degree=in_deg, out_degree=out_deg,
-                         average_degree=g.total_weight() / g.n)

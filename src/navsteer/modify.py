@@ -187,17 +187,13 @@ def insert_links(
     new_adj = csc_array(g.adjacency + addition)
     new_adj.sort_indices()
 
-    a = g.adjacency
-    existing_keys = a.indices.astype(np.int64) * g.n + _column_of_entries(a)
-    pair_keys = dst * g.n + src
-    pre_existing = np.isin(pair_keys, existing_keys)
-    parallel = int(added[pre_existing].sum() + (added[~pre_existing] - 1.0).sum())
-
+    # a placement is parallel unless it is the first on a pair that was not
+    # stored before; weights stay positive, so those pairs are the new nnz
     budget = LinkBudget(
         total_weight=float(budget_count),
         inserted_count=budget_count,
         biased_weight=0.0,
-        parallel_inserted=parallel,
+        parallel_inserted=budget_count - (new_adj.nnz - g.adjacency.nnz),
     )
     return g.with_adjacency(new_adj), budget
 

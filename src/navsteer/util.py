@@ -1,9 +1,11 @@
-"""Small numeric helpers shared across modules."""
+"""Small numeric and file helpers shared across modules."""
 
 from __future__ import annotations
 
+import json
 import math
 import struct
+from pathlib import Path
 
 import numpy as np
 
@@ -42,3 +44,10 @@ def derive_seed(*components) -> int:
     entropy = [_component_entropy(c) for c in components]
     state = np.random.SeedSequence(entropy).generate_state(2, np.uint32)
     return int(state[0]) | (int(state[1]) << 32)
+
+
+def write_json(path: str | Path, payload: dict) -> None:
+    """Write a JSON sidecar: sorted keys, two-space indent, final newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")

@@ -27,7 +27,7 @@ from navsteer import (
     transition_matrix,
     write_records_csv,
 )
-from navsteer.experiment import run_single
+from navsteer.experiment import run_single_detailed
 from navsteer.modify import (
     ModificationSpec,
     Strategy,
@@ -313,7 +313,7 @@ def test_criterion_10_iteration_counts_reported(synth_graph):
     for g, label in ((t4, "toy"), (synth_graph, "synthetic")):
         ts = sample_target_sets(g, 0.25 if g.n == 4 else 0.1, 1, 5)[0]
         spec = ModificationSpec(strategy=Strategy.CLICK_BIAS, bias_strength=5.0)
-        rec = run_single(g, ts, spec, tolerance=1e-6, graph_id=label)
+        rec, _ = run_single_detailed(g, ts, spec, tolerance=1e-6, graph_id=label)
         assert isinstance(rec.iters_before, int)
         assert isinstance(rec.iters_after, int)
         assert 0 < rec.iters_before < 100_000

@@ -278,6 +278,7 @@ def test_sweep_partial_failure_exit_code(tmp_path, t4_file, capsys):
                  "--samples", "2", "--seed", "3",
                  "--output-dir", str(outdir)]) == 6
     manifest = json.loads((outdir / "t4.failures.json").read_text())
+    assert manifest["version"] == __version__
     assert manifest["failure_count"] == 2
     assert manifest["failures"][0]["error"] == "ValidationError"
     assert len(read_crlf(outdir / "t4.runs.csv")) == 2   # header only
@@ -350,3 +351,163 @@ def test_lorenz_command(tmp_path, t4_file):
     assert lines[0] == "node_fraction,cumulative_energy"
     assert len(lines) == 7                        # header + 5 points + final CRLF
     assert (tmp_path / "curve.csv.meta.json").exists()
+
+
+def exit_code(argv):
+    """Process exit code of main(argv), whether returned or raised."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+def test_sweep_unknown_strategy_flag(tmp_path, t4_file, capsys):
+    assert exit_code(["sweep", str(t4_file), "--strategies", "bias,nudge",
+                      "--seed", "1", "--output-dir", str(tmp_path)]) == 2
+    assert "nudge" in capsys.readouterr().err
+
+
+def test_sweep_config_file_unknown_strategy(tmp_path, t4_file, capsys):
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text("strategies = insert, nudge\n")
+    assert main(["sweep", str(t4_file), "--config", str(cfg), "--seed", "1",
+                 "--output-dir", str(tmp_path)]) == 2
+    assert "nudge" in capsys.readouterr().err
+
+
+def test_sweep_mode_overrides_config_file_strengths(tmp_path, t4_file):
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text("bias_strengths = 3\n")
+    outdir = tmp_path / "out"
+    assert main(["sweep", str(t4_file), "--config", str(cfg),
+                 "--mode", "saturation", "--strategies", "bias",
+                 "--phi-values", "0.25", "--samples", "1", "--seed", "1",
+                 "--output-dir", str(outdir)]) == 0
+    config = json.loads((outdir / "t4.config.json").read_text())
+    assert config["bias_strengths"] == [2, 5, 10, 20, 35, 50, 100, 150, 200]
+
+
+def test_sweep_bias_strengths_flag_overrides_mode(tmp_path, t4_file):
+    outdir = tmp_path / "out"
+    assert main(["sweep", str(t4_file), "--mode", "saturation",
+                 "--bias-strengths", "3", "--strategies", "bias",
+                 "--phi-values", "0.25", "--samples", "1", "--seed", "1",
+                 "--output-dir", str(outdir)]) == 0
+    config = json.loads((outdir / "t4.config.json").read_text())
+    assert config["bias_strengths"] == [3]
+
+
+EXPECTED_SIDECARS = {
+    "out/t4.config.json": """{
+  "alpha_values": [
+    0.0,
+    0.1,
+    0.2,
+    0.3,
+    0.4,
+    0.5,
+    0.6,
+    0.7,
+    0.8,
+    0.9,
+    1.0
+  ],
+  "bias_strengths": [
+    1.05
+  ],
+  "graph_id": "t4",
+  "input": "{tmp}/t4.tsv",
+  "input_nodes": 4,
+  "master_seed": 3,
+  "max_iterations": 100000,
+  "nodes_used": 4,
+  "phi_values": [
+    0.25
+  ],
+  "samples_per_phi": 1,
+  "scc_reduced": false,
+  "strategies": [
+    "insert"
+  ],
+  "tolerance": 1e-12,
+  "version": "{version}",
+  "workers": 1
+}
+""",
+    "out/t4.failures.json": """{
+  "failure_count": 1,
+  "failures": [
+    {
+      "alpha": null,
+      "b": 1.05,
+      "error": "ValidationError",
+      "graph_id": "t4",
+      "message": "budget_count must be an integer >= 1, got 0",
+      "phi": 0.25,
+      "sample_id": 0,
+      "strategy": "insert"
+    }
+  ],
+  "version": "{version}"
+}
+""",
+    "pi.csv.meta.json": """{
+  "input": "{tmp}/t4.tsv",
+  "input_nodes": 4,
+  "iterations": 187,
+  "max_iterations": 100000,
+  "nodes_used": 4,
+  "residual": 9.470202400052585e-13,
+  "scc_reduced": false,
+  "strict": false,
+  "tolerance": 1e-12,
+  "version": "{version}"
+}
+""",
+    "curve.csv.meta.json": """{
+  "input": "{tmp}/t4.tsv",
+  "input_nodes": 4,
+  "max_iterations": 100000,
+  "nodes_used": 4,
+  "scc_reduced": false,
+  "tolerance": 1e-12,
+  "version": "{version}"
+}
+""",
+    "out/t4.modified.tsv.meta.json": """{
+  "alpha": null,
+  "bias_strength": 2.0,
+  "input": "{tmp}/t4.tsv",
+  "input_nodes": 4,
+  "links": 6,
+  "nodes": 4,
+  "nodes_used": 4,
+  "scc_reduced": false,
+  "seed": 5,
+  "strategy": "bias",
+  "targets": [
+    "p1"
+  ],
+  "total_weight": 7.0,
+  "version": "{version}"
+}
+""",
+}
+
+
+def test_sidecar_bytes(tmp_path, t4_file, capsys):
+    outdir = str(tmp_path / "out")
+    assert main(["sweep", str(t4_file), "--strategies", "insert",
+                 "--phi-values", "0.25", "--bias-strengths", "1.05",
+                 "--samples", "1", "--seed", "3", "--output-dir", outdir]) == 6
+    assert main(["stationary", str(t4_file),
+                 "-o", str(tmp_path / "pi.csv")]) == 0
+    assert main(["lorenz", str(t4_file),
+                 "-o", str(tmp_path / "curve.csv")]) == 0
+    assert main(["modify", str(t4_file), "--strategy", "bias",
+                 "--bias-strength", "2", "--targets", "p1", "--seed", "5",
+                 "--output-dir", outdir]) == 0
+    for name, text in EXPECTED_SIDECARS.items():
+        expected = (text.replace("{tmp}", str(tmp_path))
+                    .replace("{version}", __version__))
+        assert (tmp_path / name).read_bytes() == expected.encode("utf-8"), name

@@ -14,14 +14,14 @@ from navsteer import (
     ValidationError,
     bin_by_degree_ratio,
     lorenz_curve,
-    run_single,
+    run_single_detailed,
     stationary,
     sweep,
     transition_matrix,
-    write_failure_manifest,
     write_records_csv,
     write_records_jsonl,
 )
+from navsteer import experiment
 from navsteer.experiment import lorenz_report
 from navsteer.modify import ModificationSpec, Strategy
 from navsteer.targets import TargetSet
@@ -54,7 +54,7 @@ def test_header_is_fixed():
 
 def test_run_single_toy_bias(t4):
     spec = ModificationSpec(strategy=Strategy.CLICK_BIAS, bias_strength=2.0)
-    rec = run_single(t4, P1, spec, graph_id="t4")
+    rec, _ = run_single_detailed(t4, P1, spec, graph_id="t4")
     assert rec.strategy == "bias"
     assert rec.pi_t == pytest.approx(2 / 11, abs=1e-10)
     assert rec.pi_t_prime == pytest.approx(4 / 17, abs=1e-10)
@@ -123,6 +123,8 @@ def test_sweep_worker_count_invariant(t4):
     config = bias_config(samples_per_phi=4, bias_strengths=(2.0, 3.0))
     serial = sweep(t4, config, workers=1)
     parallel = sweep(t4, config, workers=2)
+    # only pool workers keep the graph in a module global
+    assert experiment._worker_context is None
     buf_a, buf_b = io.StringIO(), io.StringIO()
     write_records_csv(serial.records, buf_a)
     write_records_csv(parallel.records, buf_b)
@@ -178,9 +180,8 @@ def test_csv_schema(t4):
 
 
 def test_csv_timing_column_opt_in(t4):
-    rec = run_single(t4, P1,
-                     ModificationSpec(strategy=Strategy.CLICK_BIAS,
-                                      bias_strength=2.0))
+    rec, _ = run_single_detailed(
+        t4, P1, ModificationSpec(strategy=Strategy.CLICK_BIAS, bias_strength=2.0))
     buf = io.StringIO()
     write_records_csv([rec], buf, include_timing=True)
     last = buf.getvalue().split("\r\n")[1].split(",")[17]
@@ -189,10 +190,9 @@ def test_csv_timing_column_opt_in(t4):
 
 
 def test_csv_quotes_fields_with_commas(t4):
-    rec = run_single(t4, P1,
-                     ModificationSpec(strategy=Strategy.CLICK_BIAS,
-                                      bias_strength=2.0),
-                     graph_id='web,"prod"')
+    rec, _ = run_single_detailed(
+        t4, P1, ModificationSpec(strategy=Strategy.CLICK_BIAS, bias_strength=2.0),
+        graph_id='web,"prod"')
     buf = io.StringIO()
     write_records_csv([rec], buf)
     assert buf.getvalue().split("\r\n")[1].startswith('"web,""prod""",')
@@ -207,16 +207,6 @@ def test_jsonl_round_trip(t4):
     assert rows[0]["graph_id"] == "t4"
     assert rows[0]["target_hash"] == result.records[0].target_hash
     assert rows[0]["wall_time_ms"] >= 0.0        # jsonl always carries timing
-
-
-def test_failure_manifest(tmp_path, t4):
-    result = sweep(t4, bias_config(strategies=(Strategy.LINK_INSERTION,),
-                                   bias_strengths=(1.05,)))
-    path = write_failure_manifest(result.failures, tmp_path / "fail.json")
-    payload = json.loads(path.read_text())
-    assert payload["failure_count"] == 3
-    assert payload["failures"][0]["error"] == "ValidationError"
-    assert "version" in payload
 
 
 def make_record(ratio, energy_after, strategy="insert", b=5.0):

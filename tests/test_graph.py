@@ -12,7 +12,7 @@ from navsteer import (
     load_edge_list,
     write_edge_list,
 )
-from navsteer.graph import degree_summary, largest_scc
+from navsteer.graph import largest_scc
 
 from conftest import largest_scc_members_oracle, random_scc_graph
 
@@ -87,11 +87,10 @@ def test_load_empty_input_gives_empty_graph():
     assert g.edge_count() == 0
 
 
-def test_degree_summary_toy_values(t4):
-    ds = degree_summary(t4)
-    assert np.array_equal(ds.in_degree, [1, 2, 1, 2])
-    assert np.array_equal(ds.out_degree, [1, 2, 2, 1])
-    assert ds.average_degree == 6 / 4
+def test_weighted_degrees_toy_values(t4):
+    assert np.array_equal(t4.in_weights(), [1, 2, 1, 2])
+    assert np.array_equal(t4.out_weights(), [1, 2, 2, 1])
+    assert t4.total_weight() / t4.n == 6 / 4
 
 
 def test_weight_conservation():
@@ -179,26 +178,29 @@ def test_largest_scc_matches_oracle():
         if not keep.any():
             continue
         g = WeightedDigraph.from_edges(n, src[keep], dst[keep])
-        sub, mapping = largest_scc(g)
-        assert set(mapping.keys()) == largest_scc_members_oracle(g)
-        assert sub.n == len(mapping)
+        sub, kept = largest_scc(g)
+        assert set(kept.tolist()) == largest_scc_members_oracle(g)
+        assert sub.n == len(kept)
+        assert np.all(np.diff(kept) > 0)
+        restricted = g.adjacency.tocsr()[kept][:, kept]
+        assert (sub.adjacency != restricted).nnz == 0
 
 
 def test_largest_scc_idempotent():
     rng = np.random.default_rng(3)
     g = random_scc_graph(rng, 15)
     sub, _ = largest_scc(g)
-    again, mapping = largest_scc(sub)
+    again, kept = largest_scc(sub)
     assert again.n == sub.n
     assert (again.adjacency != sub.adjacency).nnz == 0
-    assert mapping == {i: i for i in range(sub.n)}
+    assert kept.tolist() == list(range(sub.n))
 
 
 def test_largest_scc_tie_breaks_toward_lowest_index():
     # two disjoint 2-cycles; sizes tie, the one holding node 0 wins
     g = WeightedDigraph.from_edges(4, [0, 1, 2, 3], [1, 0, 3, 2])
-    sub, mapping = largest_scc(g)
-    assert set(mapping.keys()) == {0, 1}
+    sub, kept = largest_scc(g)
+    assert kept.tolist() == [0, 1]
 
 
 def test_largest_scc_of_empty_graph_raises():
@@ -209,8 +211,8 @@ def test_largest_scc_of_empty_graph_raises():
 
 def test_scc_preserves_labels_and_weights(t4):
     # t4 is already strongly connected, so reduction is the identity
-    sub, mapping = largest_scc(t4)
+    sub, kept = largest_scc(t4)
     assert sub.n == 4
     assert sub.node_labels == t4.node_labels
     assert (sub.adjacency != t4.adjacency).nnz == 0
-    assert mapping == {0: 0, 1: 1, 2: 2, 3: 3}
+    assert kept.tolist() == [0, 1, 2, 3]

@@ -215,6 +215,29 @@ def test_insert_exact_accounting_random_cases():
         delta = csc_array(g2.adjacency - g.adjacency)
         delta.eliminate_zeros()
         assert np.all(t[delta.tocoo().coords[0]] == 1.0)
+        assert budget.parallel_inserted == parallel_placements(
+            g, t, pi, budget_count)
+
+
+def parallel_placements(g, t, pi, budget_count):
+    """Placements onto an already present pair, by replaying them in order.
+
+    Sources and targets are ranked by descending pi (ties to the lower
+    index); pairs run source-major without self-loops and wrap around
+    until the budget is spent.
+    """
+    targets = sorted(np.flatnonzero(t).tolist(), key=lambda i: -pi[i])
+    n_sources = min(-(-budget_count // len(targets)), g.n)
+    sources = sorted(range(g.n), key=lambda i: -pi[i])[:n_sources]
+    pairs = [(s, d) for s in sources for d in targets if s != d]
+    coo = g.adjacency.tocoo()
+    present = set(zip(coo.coords[1].tolist(), coo.coords[0].tolist()))
+    parallel = 0
+    for k in range(budget_count):
+        pair = pairs[k % len(pairs)]
+        parallel += pair in present
+        present.add(pair)
+    return parallel
 
 
 def test_insert_does_not_mutate_inputs(t4):

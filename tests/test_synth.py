@@ -12,9 +12,9 @@ from conftest import largest_scc_members_oracle
 
 def test_generated_graph_is_strongly_connected():
     g = scale_free_graph(300, seed=4)
-    sub, mapping = largest_scc(g)
+    sub, kept = largest_scc(g)
     assert sub.n == g.n
-    assert len(mapping) == g.n
+    assert kept.tolist() == list(range(g.n))
 
 
 def test_strong_connectivity_against_oracle():
