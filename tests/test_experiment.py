@@ -22,6 +22,8 @@ from navsteer import (
     write_records_jsonl,
 )
 from navsteer import experiment
+from navsteer.cli import main as cli_main
+from navsteer.graph import write_edge_list
 from navsteer.experiment import lorenz_report
 from navsteer.modify import ModificationSpec, Strategy
 from navsteer.targets import TargetSet
@@ -207,6 +209,21 @@ def test_jsonl_round_trip(t4):
     assert rows[0]["graph_id"] == "t4"
     assert rows[0]["target_hash"] == result.records[0].target_hash
     assert rows[0]["wall_time_ms"] >= 0.0        # jsonl always carries timing
+
+
+def test_failure_manifest(tmp_path, t4):
+    # the manifest is written by the sweep command; b = 1.05 leaves no room
+    # for a whole inserted link, so every insertion run fails validation
+    write_edge_list(t4, tmp_path / "t4.tsv")
+    outdir = tmp_path / "sweep"
+    assert cli_main(["sweep", str(tmp_path / "t4.tsv"), "--strategies", "insert",
+                     "--phi-values", "0.25", "--bias-strengths", "1.05",
+                     "--samples", "3", "--seed", "11",
+                     "--output-dir", str(outdir)]) == 6
+    payload = json.loads((outdir / "t4.failures.json").read_text())
+    assert payload["failure_count"] == 3
+    assert payload["failures"][0]["error"] == "ValidationError"
+    assert "version" in payload
 
 
 def make_record(ratio, energy_after, strategy="insert", b=5.0):
