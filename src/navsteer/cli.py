@@ -8,7 +8,6 @@ Exit codes: 0 success, 2 input/parameter parse failure, 3 non-convergence,
 from __future__ import annotations
 
 import argparse
-import csv
 import logging
 import secrets
 import sys
@@ -28,23 +27,28 @@ from .experiment import (
     REALISTIC_BIAS_STRENGTHS,
     SATURATION_BIAS_STRENGTHS,
     SweepConfig,
-    _format_value,
-    lorenz_report,
     run_single_detailed,
     sweep,
     write_records_csv,
     write_records_jsonl,
 )
-from .graph import WeightedDigraph, largest_scc, load_edge_list, write_edge_list
+from .graph import (
+    METADATA_SUFFIX,
+    WeightedDigraph,
+    largest_scc,
+    load_edge_list,
+    write_edge_list,
+)
 from .modify import ModificationSpec, Strategy
 from .surfer import (
     DEFAULT_MAX_ITERATIONS,
     DEFAULT_TOLERANCE,
+    lorenz_curve,
     stationary,
     transition_matrix,
 )
 from .targets import TargetSet, sample_target_sets, write_targets_csv
-from .util import derive_seed, write_json
+from .util import derive_seed, format_value, write_csv, write_json
 
 logger = logging.getLogger(__name__)
 
@@ -82,20 +86,13 @@ def _prepare_graph(source: str, strict: bool):
     return sub, kept, provenance
 
 
-def _write_json(path: Path, payload: dict) -> None:
-    write_json(path, {"version": __version__, **payload})
-
-
 def cmd_stationary(args) -> int:
     g, kept, provenance = _prepare_graph(args.input, args.strict)
     result = stationary(transition_matrix(g), args.tolerance, args.max_iterations)
-    out = Path(args.output) if args.output else Path(f"{Path(args.input).stem}.pi.csv")
-    with open(out, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["node", "label", "pi"])
-        writer.writerows(zip(kept.tolist(), map(g.label_for, range(g.n)),
-                             map(_format_value, result.pi.tolist())))
-    _write_json(Path(str(out) + ".meta.json"), {
+    out = Path(args.output or f"{Path(args.input).stem}.pi.csv")
+    write_csv(out, ["node", "label", "pi"],
+              zip(kept.tolist(), map(g.label_for, range(g.n)), result.pi.tolist()))
+    write_json(Path(str(out) + METADATA_SUFFIX), {
         "input": str(args.input),
         "tolerance": args.tolerance,
         "max_iterations": args.max_iterations,
@@ -167,7 +164,6 @@ def cmd_modify(args) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     out_graph = outdir / f"{stem}.modified.tsv"
     write_edge_list(modified, out_graph, metadata={
-        "version": __version__,
         "input": str(args.input),
         "strategy": spec.strategy.value,
         "bias_strength": spec.bias_strength,
@@ -180,8 +176,8 @@ def cmd_modify(args) -> int:
     write_records_csv([record], out_run, include_timing=args.timing)
     out_targets = outdir / f"{stem}.targets.csv"
     write_targets_csv([ts], g, out_targets)
-    print(f"{spec.strategy.value}: pi_t {_format_value(record.pi_t)} -> "
-          f"{_format_value(record.pi_t_prime)} (tau {_format_value(record.tau)})")
+    print(f"{spec.strategy.value}: pi_t {format_value(record.pi_t)} -> "
+          f"{format_value(record.pi_t_prime)} (tau {format_value(record.tau)})")
     print(f"wrote {out_graph}, {out_run}, {out_targets}")
     return 0
 
@@ -267,11 +263,11 @@ def cmd_sweep(args) -> int:
         out_records = outdir / f"{stem}.runs.csv"
         write_records_csv(result.records, out_records, include_timing=args.timing)
     out_failures = outdir / f"{stem}.failures.json"
-    _write_json(out_failures, {
+    write_json(out_failures, {
         "failure_count": len(result.failures),
         "failures": [asdict(f) for f in result.failures],
     })
-    _write_json(outdir / f"{stem}.config.json", {
+    write_json(outdir / f"{stem}.config.json", {
         "input": str(args.input),
         **asdict(config),
         "workers": args.workers,
@@ -292,7 +288,6 @@ def cmd_synth(args) -> int:
     g = scale_free_graph(args.nodes, avg_degree=args.avg_degree,
                          seed=args.seed, exponent=args.exponent)
     write_edge_list(g, args.output, metadata={
-        "version": __version__,
         "synthetic": True,
         "generator": "scale_free",
         "requested_nodes": args.nodes,
@@ -307,11 +302,11 @@ def cmd_synth(args) -> int:
 
 def cmd_lorenz(args) -> int:
     g, _, provenance = _prepare_graph(args.input, args.strict)
-    out = (Path(args.output) if args.output
-           else Path(f"{Path(args.input).stem}.lorenz.csv"))
-    lorenz_report(g, out, tolerance=args.tolerance,
-                  max_iterations=args.max_iterations)
-    _write_json(Path(str(out) + ".meta.json"), {
+    out = Path(args.output or f"{Path(args.input).stem}.lorenz.csv")
+    result = stationary(transition_matrix(g), args.tolerance, args.max_iterations)
+    write_csv(out, ["node_fraction", "cumulative_energy"],
+              lorenz_curve(result.pi).tolist())
+    write_json(Path(str(out) + METADATA_SUFFIX), {
         "input": str(args.input),
         "tolerance": args.tolerance,
         "max_iterations": args.max_iterations,

@@ -10,8 +10,6 @@ worker count changes wall time only, never output bytes.
 from __future__ import annotations
 
 import concurrent.futures
-import contextlib
-import csv
 import hashlib
 import json
 import logging
@@ -19,24 +17,29 @@ import math
 import time
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import IO, Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import ValidationError
 from .graph import WeightedDigraph
 from .metrics import target_metrics
-from .modify import ModificationSpec, Strategy, apply_modification, weight_budget
+from .modify import (
+    ModificationSpec,
+    Strategy,
+    apply_modification,
+    check_bias_strength,
+    weight_budget,
+)
 from .surfer import (
     DEFAULT_MAX_ITERATIONS,
     DEFAULT_TOLERANCE,
     StationaryResult,
-    lorenz_curve,
     stationary,
     transition_matrix,
 )
 from .targets import TargetSet, sample_target_sets, target_vector
-from .util import derive_seed
+from .util import derive_seed, write_csv
 
 logger = logging.getLogger(__name__)
 
@@ -76,8 +79,10 @@ class SweepConfig:
             raise ValidationError("sweep needs at least one strategy")
         if not self.phi_values or not all(0 < p <= 1 for p in self.phi_values):
             raise ValidationError("phi values must lie in (0, 1]")
-        if not self.bias_strengths or not all(b >= 1 for b in self.bias_strengths):
-            raise ValidationError("bias strengths must be >= 1")
+        if not self.bias_strengths:
+            raise ValidationError("sweep needs at least one bias strength")
+        for b in self.bias_strengths:
+            check_bias_strength(b)
         if any(not (0.0 <= a <= 1.0) for a in self.alpha_values):
             raise ValidationError("alpha values must lie in [0, 1]")
         if Strategy.COMBINED in self.strategies and not self.alpha_values:
@@ -325,32 +330,9 @@ def sweep(g: WeightedDigraph, config: SweepConfig, workers: int = 1) -> SweepRes
     return SweepResult(records=records, failures=failures)
 
 
-def _format_value(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        v = float(value)
-        if math.isinf(v):
-            return "inf" if v > 0 else "-inf"
-        return format(v, ".12g")
-    return str(value)
-
-
-@contextlib.contextmanager
-def _text_output(out: str | Path | IO[str], newline: str) -> Iterator[IO[str]]:
-    """An open text stream as is, or a path opened for UTF-8 writing."""
-    if hasattr(out, "write"):
-        yield out
-    else:
-        with open(out, "w", encoding="utf-8", newline=newline) as fh:
-            yield fh
-
-
 def write_records_csv(
     records: Iterable[RunRecord],
-    out: str | Path | IO[str],
+    path: str | Path,
     include_timing: bool = False,
 ) -> None:
     """Write records in the fixed CSV schema (RFC 4180, UTF-8).
@@ -360,20 +342,15 @@ def write_records_csv(
     would break the byte-for-byte reproducibility of sweep outputs.
     """
     columns = CSV_HEADER.split(",")
-    with _text_output(out, newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(columns)
-        for r in records:
-            values = [getattr(r, c) for c in columns]
-            if not include_timing:
-                values[-1] = None                 # wall_time_ms
-            writer.writerow(map(_format_value, values))
+    rows = ([getattr(r, c) for c in columns] for r in records)
+    if not include_timing:                        # wall_time_ms is the last column
+        rows = (row[:-1] + [None] for row in rows)
+    write_csv(path, columns, rows)
 
 
-def write_records_jsonl(records: Iterable[RunRecord],
-                        out: str | Path | IO[str]) -> None:
+def write_records_jsonl(records: Iterable[RunRecord], path: str | Path) -> None:
     """JSON-lines record dump, one object per run, all fields included."""
-    with _text_output(out, newline="\n") as fh:
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for r in records:
             d = asdict(r)
             if math.isinf(d["degree_ratio"]):
@@ -435,21 +412,3 @@ def bin_by_degree_ratio(
                          counts=tuple(int(c) for c in counts),
                          mean_energy=means, dropped_infinite=dropped,
                          requested_bins=n_bins, notice=notice)
-
-
-def lorenz_report(
-    g: WeightedDigraph,
-    output_path: str | Path | None = None,
-    *,
-    tolerance: float = DEFAULT_TOLERANCE,
-    max_iterations: int = DEFAULT_MAX_ITERATIONS,
-) -> np.ndarray:
-    """Stationary-mass concentration curve of a graph, optionally as CSV."""
-    result = stationary(transition_matrix(g), tolerance, max_iterations)
-    curve = lorenz_curve(result.pi)
-    if output_path is not None:
-        with open(output_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write("node_fraction,cumulative_energy\r\n")
-            for x, y in curve:
-                fh.write(f"{_format_value(float(x))},{_format_value(float(y))}\r\n")
-    return curve

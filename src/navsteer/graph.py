@@ -50,7 +50,7 @@ class WeightedDigraph:
                 raise ValidationError("adjacency weights must be finite")
             if np.any(a.data <= 0):
                 raise ValidationError("stored adjacency weights must be positive")
-            if np.any(a.indices == _column_of_entries(a)):
+            if np.any(a.indices == column_of_entries(a)):
                 raise ValidationError("adjacency must not contain self-loops")
 
     @classmethod
@@ -118,7 +118,7 @@ def _as_array(values: Iterable, dtype) -> np.ndarray:
                       dtype=dtype)
 
 
-def _column_of_entries(a: csc_array) -> np.ndarray:
+def column_of_entries(a: csc_array) -> np.ndarray:
     """Column index of every stored entry of a CSC matrix."""
     return np.repeat(np.arange(a.shape[1]), np.diff(a.indptr))
 
@@ -241,8 +241,8 @@ def write_edge_list(
 ) -> Path:
     """Serialize a graph as a tab-separated edge list plus metadata sidecar.
 
-    The sidecar (``<path>.meta.json``) records node count, total weight and
-    any provenance entries passed by the caller.
+    The sidecar (``<path>.meta.json``) records the package version, node
+    count, total weight and any provenance entries passed by the caller.
 
     Loading the written file gives back the same labels, links and weights;
     nodes without links cannot be written and are left out with a warning.
@@ -252,21 +252,19 @@ def write_edge_list(
     """
     path = Path(path)
     a = g.adjacency
-    src, dst = _column_of_entries(a), a.indices
+    src, dst = column_of_entries(a), a.indices
     order = _write_order(g.n, src, dst)
     labels = g.node_labels or [str(i) for i in range(g.n)]
     src, dst, wts = src[order].tolist(), dst[order].tolist(), a.data[order].tolist()
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.writelines(f"{labels[s]}\t{labels[d]}\t{_format_weight(w)}\n"
                       for s, d, w in zip(src, dst, wts))
-    meta = {
+    write_json(Path(str(path) + METADATA_SUFFIX), {
         "nodes": g.n,
         "links": g.edge_count(),
         "total_weight": g.total_weight(),
-    }
-    if metadata:
-        meta.update(metadata)
-    write_json(Path(str(path) + METADATA_SUFFIX), meta)
+        **(metadata or {}),
+    })
     return path
 
 

@@ -16,13 +16,19 @@ import numpy as np
 from scipy.sparse import coo_array, csc_array
 
 from .errors import EmptySupportError, ValidationError
-from .graph import WeightedDigraph, _column_of_entries
+from .graph import WeightedDigraph, column_of_entries
 from .util import round_half_up
 
 # Relative slack when testing whether one more indivisible link still fits
 # into the remaining bias budget; absorbs accumulation order effects so the
 # alpha=1 endpoint biases every eligible link exactly.
 _BUDGET_FIT_SLACK = 1e-9
+
+
+def check_bias_strength(b: float) -> None:
+    """Reject a bias strength that is not finite and >= 1."""
+    if not (math.isfinite(b) and b >= 1.0):
+        raise ValidationError(f"bias strength must be finite and >= 1, got {b!r}")
 
 
 class Strategy(str, enum.Enum):
@@ -45,9 +51,7 @@ class ModificationSpec:
     def __post_init__(self):
         if not isinstance(self.strategy, Strategy):
             object.__setattr__(self, "strategy", Strategy(self.strategy))
-        b = self.bias_strength
-        if not (math.isfinite(b) and b >= 1.0):
-            raise ValidationError(f"bias_strength must be finite and >= 1, got {b!r}")
+        check_bias_strength(self.bias_strength)
         if self.strategy is Strategy.COMBINED:
             if self.alpha is None or not (0.0 <= self.alpha <= 1.0):
                 raise ValidationError("combined strategy needs alpha in [0, 1]")
@@ -107,8 +111,7 @@ def weight_budget(g: WeightedDigraph, t: np.ndarray, b: float) -> float:
     This is the extra weight click bias at strength ``b`` would pour onto
     the targets' in-links; the other strategies spend the same budget.
     """
-    if not (math.isfinite(b) and b >= 1.0):
-        raise ValidationError(f"bias strength must be finite and >= 1, got {b!r}")
+    check_bias_strength(b)
     mask = _target_mask(t, g.n)
     return (b - 1.0) * float(g.in_weights()[mask].sum())
 
@@ -127,8 +130,7 @@ def click_bias(g: WeightedDigraph, t: np.ndarray, b: float) -> WeightedDigraph:
     returns an identical graph. Support never changes, so the result is
     exactly B W with B = I + (b - 1) diag(t).
     """
-    if not (math.isfinite(b) and b >= 1.0):
-        raise ValidationError(f"bias strength must be finite and >= 1, got {b!r}")
+    check_bias_strength(b)
     mask = _target_mask(t, g.n)
     scaled = g.adjacency.copy()
     if scaled.nnz:
@@ -214,7 +216,7 @@ def _eligible_entries(
         raise EmptySupportError("no existing link points at any target")
     pos = np.flatnonzero(eligible)
     weights = a.data[pos]
-    masses = pi[a.indices[pos]] * weights * pi[_column_of_entries(a)[pos]]
+    masses = pi[a.indices[pos]] * weights * pi[column_of_entries(a)[pos]]
     if float(masses.sum()) <= 0:
         raise EmptySupportError("eligible links carry zero probability mass")
     return pos, weights, masses
@@ -242,7 +244,8 @@ def combine(
     count) is inserted on the partially modified graph using the original
     stationary vector.
     """
-    if not (math.isfinite(b) and b > 1.0):
+    check_bias_strength(b)
+    if b == 1.0:
         raise ValidationError(f"combined strategy needs bias strength > 1, got {b!r}")
     if not (0.0 <= alpha <= 1.0):
         raise ValidationError(f"alpha must lie in [0, 1], got {alpha!r}")

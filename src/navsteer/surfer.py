@@ -19,7 +19,7 @@ from .errors import (
     EmptyGraphError,
     ValidationError,
 )
-from .graph import WeightedDigraph, _column_of_entries
+from .graph import WeightedDigraph, column_of_entries
 
 DEFAULT_TOLERANCE = 1e-12
 DEFAULT_MAX_ITERATIONS = 100_000
@@ -78,7 +78,7 @@ def transition_matrix(g: WeightedDigraph) -> TransitionMatrix:
         node = int(dangling[0])
         raise DanglingNodeError(node, g.label_for(node))
     a = g.adjacency
-    cols = _column_of_entries(a)
+    cols = column_of_entries(a)
     scaled = a.copy()
     scaled.data = a.data / out[cols]
     return TransitionMatrix(n=g.n, entries=csr_array(scaled))

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -11,7 +10,7 @@ import numpy as np
 
 from .errors import EmptyGraphError, ValidationError
 from .graph import WeightedDigraph
-from .util import derive_seed, round_half_up
+from .util import derive_seed, round_half_up, write_csv
 
 # Domain tag keeping target sampling independent from other seeded streams
 # derived from the same master seed.
@@ -107,13 +106,8 @@ def write_targets_csv(
     target_sets: Iterable[TargetSet],
     g: WeightedDigraph,
     path: str | Path,
-) -> Path:
+) -> None:
     """Write sampled target sets as CSV rows of sample_id,node_index,label."""
-    path = Path(path)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["sample_id", "node_index", "label"])
-        for ts in target_sets:
-            for i in ts.members:
-                writer.writerow([ts.sample_id, i, g.label_for(i)])
-    return path
+    write_csv(path, ["sample_id", "node_index", "label"],
+              ([ts.sample_id, i, g.label_for(i)]
+               for ts in target_sets for i in ts.members))

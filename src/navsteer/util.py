@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import csv
 import json
 import math
 import struct
 from pathlib import Path
+from typing import Iterable, Sequence
 
 import numpy as np
+
+from . import __version__
 
 _U64 = (1 << 64) - 1
 
@@ -46,8 +50,27 @@ def derive_seed(*components) -> int:
     return int(state[0]) | (int(state[1]) << 32)
 
 
+def format_value(x: float) -> str:
+    """A float as every report writes it: 12 significant digits."""
+    return format(x, ".12g")
+
+
+def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """Write a report CSV (RFC 4180, UTF-8, CRLF line ends).
+
+    Floats go through :func:`format_value`; ints and strings are written
+    as they print, and ``None`` as an empty field.
+    """
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows([format_value(v) if isinstance(v, float) else v
+                          for v in row] for row in rows)
+
+
 def write_json(path: str | Path, payload: dict) -> None:
-    """Write a JSON sidecar: sorted keys, two-space indent, final newline."""
+    """Write a JSON sidecar stamped with the package version: sorted keys,
+    two-space indent, final newline."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        json.dump({"version": __version__, **payload}, fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -29,6 +29,11 @@ def t4() -> WeightedDigraph:
     return make_t4()
 
 
+def read_crlf(path) -> list[str]:
+    """Lines of a CSV report split on CRLF (read_text would fold them away)."""
+    return path.read_bytes().decode("utf-8").split("\r\n")
+
+
 def dense_stationary(g: WeightedDigraph) -> np.ndarray:
     """Stationary vector by dense linear algebra, no iteration.
 

@@ -8,7 +8,6 @@ shipped with the package).
 """
 
 import hashlib
-import io
 import time
 
 import numpy as np
@@ -266,7 +265,7 @@ def test_criterion_08_degree_ratio_negative_correlation(synth_graph,
           f"Spearman rho {rho:.4f}, p {p_value:.2e}")
 
 
-def test_criterion_09_sweep_byte_determinism():
+def test_criterion_09_sweep_byte_determinism(tmp_path):
     """Same master seed => byte-identical CSV, for 1 and 8 workers."""
     g = scale_free_graph(200, seed=7)
     pure = SweepConfig(
@@ -292,9 +291,9 @@ def test_criterion_09_sweep_byte_determinism():
     def digest(config: SweepConfig, workers: int) -> str:
         result = sweep(g, config, workers=workers)
         assert not result.failures
-        buf = io.StringIO()
-        write_records_csv(result.records, buf)
-        return hashlib.sha256(buf.getvalue().encode("utf-8")).hexdigest()
+        path = tmp_path / "runs.csv"
+        write_records_csv(result.records, path)
+        return hashlib.sha256(path.read_bytes()).hexdigest()
 
     for config in (pure, combined):
         first, rerun, parallel = (digest(config, 1), digest(config, 1),

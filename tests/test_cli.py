@@ -12,8 +12,17 @@ import json
 import numpy as np
 import pytest
 
-from navsteer import EmptySupportError, load_edge_list, __version__
+from navsteer import (
+    EmptySupportError,
+    __version__,
+    load_edge_list,
+    lorenz_curve,
+    stationary,
+    transition_matrix,
+)
 from navsteer.cli import main
+
+from conftest import read_crlf
 
 T4_TEXT = "p1\tp4\np2\tp1\np2\tp3\np3\tp2\np3\tp4\np4\tp2\n"
 
@@ -23,10 +32,6 @@ def t4_file(tmp_path):
     path = tmp_path / "t4.tsv"
     path.write_text(T4_TEXT)
     return path
-
-
-def read_crlf(path):
-    return path.read_bytes().decode("utf-8").split("\r\n")
 
 
 def test_version_flag(capsys):
@@ -350,6 +355,11 @@ def test_lorenz_command(tmp_path, t4_file):
     lines = read_crlf(out)
     assert lines[0] == "node_fraction,cumulative_energy"
     assert len(lines) == 7                        # header + 5 points + final CRLF
+    assert lines[-1] == ""                        # every row ends with CRLF
+    curve = np.array([[float(v) for v in line.split(",")] for line in lines[1:-1]])
+    g = load_edge_list(t4_file)
+    expected = lorenz_curve(stationary(transition_matrix(g)).pi)
+    assert np.allclose(curve, expected)
     assert (tmp_path / "curve.csv.meta.json").exists()
 
 
@@ -511,3 +521,73 @@ def test_sidecar_bytes(tmp_path, t4_file, capsys):
         expected = (text.replace("{tmp}", str(tmp_path))
                     .replace("{version}", __version__))
         assert (tmp_path / name).read_bytes() == expected.encode("utf-8"), name
+
+
+RUNS_HEADER = ("graph_id,strategy,phi,sample_id,b,alpha,pi_t,pi_t_prime,tau,"
+               "d_in,d_out,degree_ratio,l_b,inserted_count,biased_weight,"
+               "iters_before,iters_after,wall_time_ms\r\n")
+
+EXPECTED_REPORTS = {
+    "pi.csv": "node,label,pi\r\n"
+              "0,p1,0.181818181818\r\n"
+              "1,p4,0.272727272727\r\n"
+              "2,p2,0.363636363636\r\n"
+              "3,p3,0.181818181818\r\n",
+    "curve.csv": "node_fraction,cumulative_energy\r\n"
+                 "0,0\r\n"
+                 "0.25,0.363636363636\r\n"
+                 "0.5,0.636363636363\r\n"
+                 "0.75,0.818181818182\r\n"
+                 "1,1\r\n",
+    "out/t4.run.csv": RUNS_HEADER
+    + "t4,bias,0.25,0,2,,0.181818181818,0.235294117647,1.29411764706,"
+      "1,1,1,1,0,1,187,294,\r\n",
+    "out/t4.targets.csv": "sample_id,node_index,label\r\n0,0,p1\r\n",
+    "out/t4.runs.csv": RUNS_HEADER
+    + "t4,bias,0.25,0,2,,0.363636363636,0.375,1.03125,"
+      "2,2,1,2,0,2,187,133,\r\n"
+      "t4,bias,0.25,1,2,,0.181818181818,0.235294117647,1.29411764706,"
+      "1,1,1,1,0,1,187,294,\r\n"
+      "t4,insert,0.25,0,2,,0.363636363636,0.363636363636,1,"
+      "2,2,1,2,2,0,187,187,\r\n"
+      "t4,insert,0.25,1,2,,0.181818181818,0.235294117647,1.29411764706,"
+      "1,1,1,1,1,0,187,294,\r\n",
+}
+
+
+def test_report_bytes(tmp_path, t4_file, capsys):
+    outdir = str(tmp_path / "out")
+    assert main(["stationary", str(t4_file),
+                 "-o", str(tmp_path / "pi.csv")]) == 0
+    assert main(["lorenz", str(t4_file),
+                 "-o", str(tmp_path / "curve.csv")]) == 0
+    assert main(["modify", str(t4_file), "--strategy", "bias",
+                 "--bias-strength", "2", "--targets", "p1", "--seed", "5",
+                 "--output-dir", outdir]) == 0
+    assert main(["sweep", str(t4_file), "--strategies", "bias,insert",
+                 "--phi-values", "0.25", "--bias-strengths", "2",
+                 "--samples", "2", "--seed", "3", "--output-dir", outdir]) == 0
+    for name, text in EXPECTED_REPORTS.items():
+        assert (tmp_path / name).read_bytes() == text.encode("utf-8"), name
+
+
+def test_sweep_infinite_bias_strength_flag(tmp_path, t4_file, capsys):
+    outdir = tmp_path / "out"
+    assert main(["sweep", str(t4_file), "--strategies", "bias",
+                 "--phi-values", "0.25", "--bias-strengths", "2,inf",
+                 "--samples", "1", "--seed", "1",
+                 "--output-dir", str(outdir)]) == 2
+    assert "finite" in capsys.readouterr().err
+    assert not (outdir / "t4.runs.csv").exists()
+
+
+def test_sweep_infinite_bias_strength_config_file(tmp_path, t4_file, capsys):
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text("bias_strengths = 1.05, inf\n")
+    outdir = tmp_path / "out"
+    assert main(["sweep", str(t4_file), "--config", str(cfg),
+                 "--strategies", "bias", "--phi-values", "0.25",
+                 "--samples", "1", "--seed", "1",
+                 "--output-dir", str(outdir)]) == 2
+    assert "finite" in capsys.readouterr().err
+    assert not (outdir / "t4.runs.csv").exists()

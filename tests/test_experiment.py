@@ -1,6 +1,5 @@
 """Sweep orchestration, record serialization, binning."""
 
-import io
 import json
 import math
 
@@ -13,22 +12,18 @@ from navsteer import (
     SweepConfig,
     ValidationError,
     bin_by_degree_ratio,
-    lorenz_curve,
     run_single_detailed,
-    stationary,
     sweep,
-    transition_matrix,
     write_records_csv,
     write_records_jsonl,
 )
 from navsteer import experiment
 from navsteer.cli import main as cli_main
 from navsteer.graph import write_edge_list
-from navsteer.experiment import lorenz_report
 from navsteer.modify import ModificationSpec, Strategy
 from navsteer.targets import TargetSet
 
-from conftest import make_t4
+from conftest import make_t4, read_crlf
 
 P1 = TargetSet(members=(0,), phi=0.25, sample_id=0, seed=0)
 
@@ -113,24 +108,24 @@ def test_sweep_baseline_shared_across_strategies(t4):
         assert len({row.target_hash for row in rows}) == 1
 
 
-def test_sweep_deterministic_bytes(t4):
+def test_sweep_deterministic_bytes(tmp_path, t4):
     config = bias_config(samples_per_phi=4)
-    buf_a, buf_b = io.StringIO(), io.StringIO()
-    write_records_csv(sweep(t4, config).records, buf_a)
-    write_records_csv(sweep(t4, config).records, buf_b)
-    assert buf_a.getvalue() == buf_b.getvalue()
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    write_records_csv(sweep(t4, config).records, a)
+    write_records_csv(sweep(t4, config).records, b)
+    assert a.read_bytes() == b.read_bytes()
 
 
-def test_sweep_worker_count_invariant(t4):
+def test_sweep_worker_count_invariant(tmp_path, t4):
     config = bias_config(samples_per_phi=4, bias_strengths=(2.0, 3.0))
     serial = sweep(t4, config, workers=1)
     parallel = sweep(t4, config, workers=2)
     # only pool workers keep the graph in a module global
     assert experiment._worker_context is None
-    buf_a, buf_b = io.StringIO(), io.StringIO()
-    write_records_csv(serial.records, buf_a)
-    write_records_csv(parallel.records, buf_b)
-    assert buf_a.getvalue() == buf_b.getvalue()
+    a, b = tmp_path / "serial.csv", tmp_path / "parallel.csv"
+    write_records_csv(serial.records, a)
+    write_records_csv(parallel.records, b)
+    assert a.read_bytes() == b.read_bytes()
 
 
 def test_sweep_isolates_run_failures(t4):
@@ -156,17 +151,18 @@ def test_sweep_validates_grids(t4):
     with pytest.raises(ValidationError):
         bias_config(bias_strengths=(0.5,))
     with pytest.raises(ValidationError):
+        bias_config(bias_strengths=(2.0, math.inf))
+    with pytest.raises(ValidationError):
         bias_config(samples_per_phi=0)
     with pytest.raises(ValidationError):
         bias_config(strategies=(Strategy.COMBINED,), alpha_values=(1.5,))
 
 
-def test_csv_schema(t4):
+def test_csv_schema(tmp_path, t4):
     result = sweep(t4, bias_config(samples_per_phi=2))
-    buf = io.StringIO()
-    write_records_csv(result.records, buf)
-    text = buf.getvalue()
-    lines = text.split("\r\n")
+    path = tmp_path / "runs.csv"
+    write_records_csv(result.records, path)
+    lines = read_crlf(path)
     assert lines[0] == CSV_HEADER
     assert lines[-1] == ""                       # trailing CRLF
     assert len(lines) == 2 + len(result.records)
@@ -181,30 +177,32 @@ def test_csv_schema(t4):
     float(row[8])                                # tau parses
 
 
-def test_csv_timing_column_opt_in(t4):
+def test_csv_timing_column_opt_in(tmp_path, t4):
     rec, _ = run_single_detailed(
         t4, P1, ModificationSpec(strategy=Strategy.CLICK_BIAS, bias_strength=2.0))
-    buf = io.StringIO()
-    write_records_csv([rec], buf, include_timing=True)
-    last = buf.getvalue().split("\r\n")[1].split(",")[17]
+    path = tmp_path / "run.csv"
+    write_records_csv([rec], path, include_timing=True)
+    last = read_crlf(path)[1].split(",")[17]
     assert last != ""
     assert float(last) >= 0.0
 
 
-def test_csv_quotes_fields_with_commas(t4):
+def test_csv_quotes_fields_with_commas(tmp_path, t4):
     rec, _ = run_single_detailed(
         t4, P1, ModificationSpec(strategy=Strategy.CLICK_BIAS, bias_strength=2.0),
         graph_id='web,"prod"')
-    buf = io.StringIO()
-    write_records_csv([rec], buf)
-    assert buf.getvalue().split("\r\n")[1].startswith('"web,""prod""",')
+    path = tmp_path / "run.csv"
+    write_records_csv([rec], path)
+    assert read_crlf(path)[1].startswith('"web,""prod""",')
 
 
-def test_jsonl_round_trip(t4):
+def test_jsonl_round_trip(tmp_path, t4):
     result = sweep(t4, bias_config(samples_per_phi=2))
-    buf = io.StringIO()
-    write_records_jsonl(result.records, buf)
-    rows = [json.loads(line) for line in buf.getvalue().splitlines()]
+    path = tmp_path / "runs.jsonl"
+    write_records_jsonl(result.records, path)
+    data = path.read_bytes()
+    assert b"\r" not in data                      # LF line ends on every platform
+    rows = [json.loads(line) for line in data.decode("utf-8").splitlines()]
     assert len(rows) == len(result.records)
     assert rows[0]["graph_id"] == "t4"
     assert rows[0]["target_hash"] == result.records[0].target_hash
@@ -270,14 +268,3 @@ def test_binning_quantile_method():
 def test_binning_rejects_unknown_method():
     with pytest.raises(ValidationError):
         bin_by_degree_ratio([make_record(1.0, 0.1)], method="log")
-
-
-def test_lorenz_report_writes_curve(tmp_path, t4):
-    path = tmp_path / "curve.csv"
-    curve = lorenz_report(t4, path)
-    expected = lorenz_curve(stationary(transition_matrix(t4)).pi)
-    assert np.allclose(curve, expected)
-    # read_text would fold the CRLF endings away
-    lines = path.read_bytes().decode("utf-8").split("\r\n")
-    assert lines[0] == "node_fraction,cumulative_energy"
-    assert len(lines) == 2 + len(curve)          # header + rows + final CRLF

@@ -9,6 +9,7 @@ from navsteer import (
     EdgeListParseError,
     EmptyGraphError,
     WeightedDigraph,
+    __version__,
     load_edge_list,
     write_edge_list,
 )
@@ -165,6 +166,7 @@ def test_write_emits_metadata_sidecar(tmp_path, t4):
     assert meta["links"] == 6
     assert meta["total_weight"] == 6.0
     assert meta["note"] == "toy"
+    assert meta["version"] == __version__        # stamped without being passed
 
 
 def test_largest_scc_matches_oracle():

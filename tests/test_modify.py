@@ -16,7 +16,7 @@ from navsteer import (
     stationary,
     transition_matrix,
 )
-from navsteer.graph import _column_of_entries
+from navsteer.graph import column_of_entries
 from navsteer.modify import (
     LinkBudget,
     ModificationSpec,
@@ -254,7 +254,7 @@ def eligible_probs(g, t, pi):
     """{(dst, src): probability} of the bias draw, from combine's masses."""
     pos, _, masses = _eligible_entries(g, t, pi)
     a = g.adjacency
-    links = zip(a.indices[pos].tolist(), _column_of_entries(a)[pos].tolist())
+    links = zip(a.indices[pos].tolist(), column_of_entries(a)[pos].tolist())
     return dict(zip(links, (masses / masses.sum()).tolist()))
 
 
