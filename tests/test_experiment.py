@@ -12,8 +12,11 @@ from navsteer import (
     SweepConfig,
     ValidationError,
     bin_by_degree_ratio,
+    lorenz_curve,
     run_single_detailed,
+    stationary,
     sweep,
+    transition_matrix,
     write_records_csv,
     write_records_jsonl,
 )
@@ -222,6 +225,19 @@ def test_failure_manifest(tmp_path, t4):
     assert payload["failure_count"] == 3
     assert payload["failures"][0]["error"] == "ValidationError"
     assert "version" in payload
+
+
+def test_lorenz_report_writes_curve(tmp_path, t4):
+    # the Lorenz report is written by the lorenz command
+    write_edge_list(t4, tmp_path / "t4.tsv")
+    path = tmp_path / "curve.csv"
+    assert cli_main(["lorenz", str(tmp_path / "t4.tsv"), "-o", str(path)]) == 0
+    lines = read_crlf(path)
+    assert lines[0] == "node_fraction,cumulative_energy"
+    curve = np.array([[float(v) for v in line.split(",")] for line in lines[1:-1]])
+    expected = lorenz_curve(stationary(transition_matrix(t4)).pi)
+    assert np.allclose(curve, expected)
+    assert len(lines) == 2 + len(curve)          # header + rows + final CRLF
 
 
 def make_record(ratio, energy_after, strategy="insert", b=5.0):
