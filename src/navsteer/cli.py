@@ -1,8 +1,8 @@
 """Command-line front end.
 
-Exit codes: 0 success, 2 input/parameter parse failure, 3 non-convergence,
-4 connectivity rejection under --strict, 5 empty eligible-link support,
-6 sweep finished with partial failures.
+Exit codes: 0 success, 2 input/parameter parse failure, 3 non-convergence
+(a periodic chain included), 4 connectivity rejection under --strict,
+5 empty eligible-link support, 6 sweep finished with partial failures.
 """
 
 from __future__ import annotations

@@ -58,5 +58,20 @@ class ConvergenceError(NavsteerError):
         super().__init__(message)
 
 
+class PeriodicChainError(ConvergenceError):
+    """The transition chain is periodic, so power iteration from the
+    uniform start oscillates instead of converging.
+
+    Raised after the single uniform-start step, before any further
+    iteration; ``period`` is the gcd of the chain's cycle lengths.
+    """
+
+    def __init__(self, period: int, last_iterate, residual_history):
+        self.period = period
+        super().__init__(
+            f"transition chain is periodic with period {period}; power "
+            "iteration cannot converge", last_iterate, residual_history)
+
+
 class EmptySupportError(NavsteerError):
     """No existing link can receive bias weight (no in-links to any target)."""

@@ -2,8 +2,9 @@
 
 The surfer follows outgoing links with probability proportional to link
 weight. There is deliberately no teleportation or damping: inputs are
-expected to be strongly connected, and periodic chains that fail to settle
-surface as an explicit convergence error instead of being smoothed over.
+expected to be strongly connected. A periodic chain fails with
+:class:`PeriodicChainError` before any iteration past the uniform-start
+check, instead of being smoothed over or iterated to the budget.
 """
 
 from __future__ import annotations
@@ -12,11 +13,13 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import csr_array
+from scipy.sparse.csgraph import breadth_first_order
 
 from .errors import (
     ConvergenceError,
     DanglingNodeError,
     EmptyGraphError,
+    PeriodicChainError,
     ValidationError,
 )
 from .graph import WeightedDigraph, column_of_entries
@@ -84,40 +87,162 @@ def transition_matrix(g: WeightedDigraph) -> TransitionMatrix:
     return TransitionMatrix(n=g.n, entries=csr_array(scaled))
 
 
+def _index_dtype(n: int):
+    """int32 for page indices and BFS levels up to n + 1 whenever they fit:
+    it halves the per-link temporaries of the period check and the
+    censored build."""
+    return np.int32 if n < np.iinfo(np.int32).max else np.int64
+
+
+def chain_period(matrix) -> int:
+    """Period of the chain whose links are the stored entries of a square
+    CSR matrix: the gcd of its cycle lengths, in O(n + m).
+
+    With BFS depths ``level`` from node 0, every cycle's length is the sum
+    of ``level[u] + 1 - level[v]`` over its links u -> v, and the gcd of
+    those terms over all links is the period (Jarvis & Shier, 1999). The
+    direction of the links does not change cycle lengths, so the BFS runs
+    on the stored entries as they are. Returns 1 when not every node is
+    reached, since the chain is then reducible and has no single period.
+    """
+    n = matrix.shape[0]
+    order, parent = breadth_first_order(matrix, 0, return_predecessors=True)
+    if order.size < n:
+        return 1
+    # depths by pointer jumping: level[v] counts the tree links from v up to
+    # parent[v], and only the root is at level 0
+    parent = parent.astype(np.intp)
+    parent[0] = 0
+    level = (parent != np.arange(n)).astype(_index_dtype(n))
+    while (step := level[parent]).any():
+        level += step
+        parent = parent[parent]
+    gap = np.repeat(level + 1, np.diff(matrix.indptr))
+    gap -= level[matrix.indices]
+    return int(np.gcd.reduce(np.abs(gap, out=gap)))
+
+
+def _power_iteration(matrix, v, tolerance, steps, history):
+    """Up to ``steps`` power steps from ``v``, appending each L1 step norm
+    to ``history``; returns the last iterate and whether it converged.
+
+    The iterate is renormalized every step to suppress floating-point drift.
+    """
+    for _ in range(steps):
+        v_next = matrix @ v
+        v_next /= v_next.sum()
+        history.append(float(np.abs(v_next - v).sum()))
+        v = v_next
+        if history[-1] < tolerance:
+            return v, True
+    return v, False
+
+
+def _censor(matrix):
+    """The chain censored to the pages with more than one out-link.
+
+    A page e with a single out-link passes all its mass on, so its mass
+    lands on ``jump(e)``, the first other page on its successor path. The
+    censored chain Q moves each link's target to its jump and keeps the
+    remaining pages S; its stationary vector is pi restricted to S,
+    renormalised (Meyer, SIAM Review 31(2), 1989). Returns ``(Q, single)``
+    with ``single`` the mask of censored pages, or None when no page has a
+    single out-link or some of them lie on a closed loop of such pages.
+    """
+    n = matrix.shape[0]
+    single = np.bincount(matrix.indices, minlength=n) == 1
+    if not single.any():
+        return None
+    entry = np.flatnonzero(single[matrix.indices])
+    jump = np.arange(n)
+    jump[matrix.indices[entry]] = np.searchsorted(matrix.indptr, entry, side="right") - 1
+    # pointer doubling: after k rounds jump(e) is 2^k links down the path
+    for _ in range(n.bit_length()):
+        if not single[jump].any():
+            break
+        jump = jump[jump]
+    if single[jump].any():
+        return None
+    # Q in one step: each stored link keeps its weight, its target moves
+    # to the target's jump, and links out of censored pages are dropped
+    kept = ~single
+    position = np.cumsum(kept, dtype=_index_dtype(n)) - 1
+    links = kept[matrix.indices]
+    rows = np.repeat(position[jump], np.diff(matrix.indptr))[links]
+    cols = position[matrix.indices[links]]
+    m = np.count_nonzero(kept)
+    return csr_array((matrix.data[links], (rows, cols)), shape=(m, m)), single
+
+
+def _recover(matrix, single, y):
+    """Full stationary vector from the censored chain's: the censored
+    pages' mass is P x on them, repeated until it stops changing. P
+    restricted to those pages is nilpotent, so this ends after (longest
+    single-out-link path + 1) sweeps."""
+    censored = np.flatnonzero(single)
+    into_censored = matrix[censored]
+    x = np.zeros(matrix.shape[0])
+    x[~single] = y
+    while True:
+        pushed = into_censored @ x
+        if np.array_equal(pushed, x[censored]):
+            return x / x.sum()
+        x[censored] = pushed
+
+
 def stationary(
     p: TransitionMatrix,
     tolerance: float = DEFAULT_TOLERANCE,
     max_iterations: int = DEFAULT_MAX_ITERATIONS,
 ) -> StationaryResult:
-    """Power iteration from the uniform vector until the L1 step norm falls
-    below ``tolerance``.
+    """Stationary distribution by power iteration until the L1 step norm
+    falls below ``tolerance``.
 
-    The iterate is renormalized every step to suppress floating-point
-    drift. Non-convergence (periodic chains, exhausted iteration budget)
-    raises :class:`ConvergenceError` carrying the last iterate and the full
-    residual history.
+    One step from the uniform vector comes first; a chain it already
+    satisfies returns with 1 iteration. A periodic chain then raises
+    :class:`PeriodicChainError` before any further step. Otherwise the
+    power iteration runs on the chain censored to the pages with more than
+    one out-link, and ``iterations`` counts its steps; the full chain is
+    iterated instead (its first step being the uniform one) when there is
+    nothing to censor or the censored chain is periodic. The result must
+    satisfy ||P pi - pi||_1 <= max(1e-9, 1e3 * tolerance).
+
+    Non-convergence raises :class:`ConvergenceError` carrying the last
+    iterate (over all pages) and the residual history of the chain that
+    was iterated.
     """
     if tolerance <= 0:
         raise ValidationError("tolerance must be positive")
     if max_iterations < 1:
         raise ValidationError("max_iterations must be at least 1")
-    n = p.n
     matrix = p.entries
-    v = np.full(n, 1.0 / n)
     history: list[float] = []
-    for it in range(1, max_iterations + 1):
-        v_next = matrix @ v
-        total = v_next.sum()
-        v_next /= total
-        residual = float(np.abs(v_next - v).sum())
-        history.append(residual)
-        if residual < tolerance:
-            return StationaryResult(pi=v_next, iterations=it, residual=residual)
-        v = v_next
-    raise ConvergenceError(
-        f"power iteration did not reach tolerance {tolerance:g} within "
-        f"{max_iterations} iterations (last residual {history[-1]:.3e})",
-        last_iterate=v, residual_history=history)
+    v, done = _power_iteration(matrix, np.full(p.n, 1.0 / p.n), tolerance, 1, history)
+    if done:
+        return StationaryResult(pi=v, iterations=1, residual=history[-1])
+    period = chain_period(matrix)
+    if period > 1:
+        raise PeriodicChainError(period, last_iterate=v, residual_history=history)
+    censored = _censor(matrix)
+    if censored is None or chain_period(censored[0]) > 1:
+        x, done = _power_iteration(matrix, v, tolerance, max_iterations - 1, history)
+    else:
+        q, single = censored
+        history = []
+        y, done = _power_iteration(q, np.full(q.shape[0], 1.0 / q.shape[0]),
+                                   tolerance, max_iterations, history)
+        x = _recover(matrix, single, y)
+    if not done:
+        raise ConvergenceError(
+            f"power iteration did not reach tolerance {tolerance:g} within "
+            f"{max_iterations} iterations (last residual {history[-1]:.3e})",
+            last_iterate=x, residual_history=history)
+    certificate = float(np.abs(matrix @ x - x).sum())
+    if certificate > max(1e-9, 1e3 * tolerance):
+        raise ConvergenceError(
+            f"stationary vector fails its check: ||P pi - pi||_1 = "
+            f"{certificate:.3e}", last_iterate=x, residual_history=history)
+    return StationaryResult(pi=x, iterations=len(history), residual=history[-1])
 
 
 def lorenz_curve(pi: np.ndarray) -> np.ndarray:

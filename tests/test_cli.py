@@ -8,9 +8,12 @@ stable API (0 ok, 2 parse/validation, 3 convergence, 4 connectivity under
 import csv
 import hashlib
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from navsteer import EmptySupportError, load_edge_list, __version__
 from navsteer.cli import main
@@ -452,10 +455,10 @@ EXPECTED_SIDECARS = {
     "pi.csv.meta.json": """{
   "input": "{tmp}/t4.tsv",
   "input_nodes": 4,
-  "iterations": 187,
+  "iterations": 40,
   "max_iterations": 100000,
   "nodes_used": 4,
-  "residual": 9.470202400052585e-13,
+  "residual": 9.094947017729282e-13,
   "scc_reduced": false,
   "strict": false,
   "tolerance": 1e-12,
@@ -524,22 +527,22 @@ EXPECTED_REPORTS = {
     "curve.csv": "node_fraction,cumulative_energy\r\n"
                  "0,0\r\n"
                  "0.25,0.363636363636\r\n"
-                 "0.5,0.636363636363\r\n"
+                 "0.5,0.636363636364\r\n"
                  "0.75,0.818181818182\r\n"
                  "1,1\r\n",
     "out/t4.run.csv": RUNS_HEADER
     + "t4,bias,0.25,0,2,,0.181818181818,0.235294117647,1.29411764706,"
-      "1,1,1,1,0,1,187,294,\r\n",
+      "1,1,1,1,0,1,40,26,\r\n",
     "out/t4.targets.csv": "sample_id,node_index,label\r\n0,0,p1\r\n",
     "out/t4.runs.csv": RUNS_HEADER
     + "t4,bias,0.25,0,2,,0.363636363636,0.375,1.03125,"
-      "2,2,1,2,0,2,187,133,\r\n"
+      "2,2,1,2,0,2,40,40,\r\n"
       "t4,bias,0.25,1,2,,0.181818181818,0.235294117647,1.29411764706,"
-      "1,1,1,1,0,1,187,294,\r\n"
+      "1,1,1,1,0,1,40,26,\r\n"
       "t4,insert,0.25,0,2,,0.363636363636,0.363636363636,1,"
-      "2,2,1,2,2,0,187,187,\r\n"
+      "2,2,1,2,2,0,40,40,\r\n"
       "t4,insert,0.25,1,2,,0.181818181818,0.235294117647,1.29411764706,"
-      "1,1,1,1,1,0,187,294,\r\n",
+      "1,1,1,1,1,0,40,26,\r\n",
 }
 
 
@@ -579,3 +582,70 @@ def test_sweep_infinite_bias_strength_config_file(tmp_path, t4_file, capsys):
                  "--output-dir", str(outdir)]) == 2
     assert "finite" in capsys.readouterr().err
     assert not (outdir / "t4.runs.csv").exists()
+
+
+# ------------------------------------------------ no input ends in a traceback
+
+_PAGES = st.sampled_from(["a", "b", "c", "p 1", "x,y", '"q"'])
+_LINKS = st.one_of(
+    st.tuples(_PAGES, _PAGES).map("\t".join),
+    st.tuples(_PAGES, _PAGES, st.sampled_from(["1", "3", "0.25"])).map("\t".join))
+_ODD_LABELS = st.sampled_from(["a", "\ufeffa", "\u00e9", "\x0c", "\u2028",
+                               " ", "", "#a"])
+_ODD_WEIGHTS = st.sampled_from(["0", "-1", "1e-320", "1e308", "inf", "nan",
+                                "0x10", "abc", "1\t2", ""])
+_JUNK = st.one_of(
+    st.tuples(_ODD_LABELS, _ODD_LABELS).map("\t".join),
+    st.tuples(_PAGES, _PAGES, _ODD_WEIGHTS).map("\t".join),
+    st.sampled_from(["", "# comment", "\t", "a", "  a\tb  "]),
+    st.text(max_size=8))
+
+
+@st.composite
+def _edge_lists(draw) -> bytes:
+    """Mostly well-formed links among a few pages, with up to two odd lines."""
+    lines = draw(st.lists(_LINKS, max_size=10))
+    for junk in draw(st.lists(_JUNK, max_size=2)):
+        lines.insert(draw(st.integers(0, len(lines))), junk)
+    return draw(st.sampled_from(["\n", "\r\n", "\r"])).join(lines).encode("utf-8")
+
+
+@st.composite
+def _commands(draw) -> list[str]:
+    """A stationary or modify command line; {in} and {out} are filled in."""
+    if draw(st.booleans()):
+        return ["stationary", "{in}", "-o", "{out}/pi.csv",
+                *draw(st.sampled_from([[], ["--strict"]]))]
+    strategy = draw(st.sampled_from(["bias", "insert", "combined"]))
+    return ["modify", "{in}", "--strategy", strategy,
+            "--bias-strength", draw(st.sampled_from(["1", "2", "5"])),
+            *draw(st.sampled_from([["--phi", "0.5"], ["--phi", "1"],
+                                   ["--targets", "a,b"], ["--targets", "c"]])),
+            *(["--alpha", "0.5"] if strategy == "combined" else []),
+            "--seed", "1", "--output-dir", "{out}"]
+
+
+def _exit_code(data: bytes, command: list[str]) -> int:
+    """Exit code of main on ``data``; an exception escaping main is what a
+    user would see as a traceback, and fails the calling test."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "in.tsv"
+        path.write_bytes(data)
+        argv = [arg.replace("{in}", str(path)).replace("{out}", tmp)
+                for arg in command]
+        # a small budget keeps slowly mixing inputs quick; exhausting it
+        # still exits 3
+        return main(argv + ["--max-iterations", "5000"])
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_edge_lists(), _commands())
+def test_random_edge_list_text_exits_with_a_documented_code(data, command):
+    assert _exit_code(data, command) in {0, 2, 3, 4, 5, 6}
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.binary(max_size=64), _commands())
+def test_random_bytes_exit_with_a_documented_code(data, command):
+    assert _exit_code(data, command) in {0, 2, 3, 4, 5, 6}

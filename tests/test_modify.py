@@ -30,7 +30,7 @@ from navsteer.modify import (
     weight_budget,
 )
 
-from conftest import T4_PI, make_t4, random_scc_graph
+from conftest import T4_PI, dense_stationary, make_t4, random_scc_graph
 
 T1 = np.array([1.0, 0.0, 0.0, 0.0])
 
@@ -111,14 +111,30 @@ def test_click_bias_energy_curve_on_toy_graph(t4):
     assert np.all(np.diff(energies) > 0)
 
 
-def test_extreme_bias_can_stall_convergence(t4):
-    # biasing p1 and p4 pushes the chain toward the periodic loop
-    # p2 -> p1 -> p4 -> p2; the solver must report, not hang
-    from navsteer import ConvergenceError
+def test_extreme_bias_toward_a_loop_solves_exactly(t4):
+    # biasing p1 and p4 pushes the chain toward the period-3 loop
+    # p2 -> p1 -> p4 -> p2; p1 and p4 have one out-link each, so the solve
+    # runs on the censored chain of p2 and p3 and recovers them exactly
     t = np.array([1.0, 0.0, 0.0, 1.0])
-    with pytest.raises(ConvergenceError):
-        stationary(transition_matrix(click_bias(t4, t, 100.0)),
+    biased = click_bias(t4, t, 100.0)
+    res = stationary(transition_matrix(biased), max_iterations=2000)
+    assert np.max(np.abs(res.pi - dense_stationary(biased))) < 1e-10
+
+
+def test_extreme_bias_can_stall_convergence():
+    # every page has two or three out-links, so nothing is censored; biasing
+    # pages 2 and 3 leaves 0 -> 1 with 1/201 of page 0's weight and the
+    # chain nearly bipartite (|lambda_2| ~ 0.9975): the solver must report,
+    # not hang
+    from navsteer import ConvergenceError, PeriodicChainError, WeightedDigraph
+    g = WeightedDigraph.from_edges(4, [0, 0, 0, 1, 1, 2, 2, 3, 3],
+                                   [1, 2, 3, 2, 3, 0, 1, 0, 1])
+    t = np.array([0.0, 0.0, 1.0, 1.0])
+    with pytest.raises(ConvergenceError) as err:
+        stationary(transition_matrix(click_bias(g, t, 100.0)),
                    max_iterations=2000)
+    assert not isinstance(err.value, PeriodicChainError)
+    assert len(err.value.residual_history) == 2000
 
 
 # --------------------------------------------------------------- insertion
