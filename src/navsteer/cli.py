@@ -37,6 +37,7 @@ from .graph import (
     WeightedDigraph,
     largest_scc,
     load_edge_list,
+    read_lines,
     write_edge_list,
 )
 from .modify import ModificationSpec, Strategy
@@ -78,6 +79,9 @@ def _prepare_graph(source: str, strict: bool):
         logger.warning(
             "input is not strongly connected; using largest component "
             "(%d of %d nodes)", sub.n, g.n)
+    if sub.edge_count() == 0:
+        raise EmptyGraphError(
+            f"no strongly connected component of {source} has a link")
     provenance = {
         "input_nodes": g.n,
         "nodes_used": sub.n,
@@ -86,18 +90,31 @@ def _prepare_graph(source: str, strict: bool):
     return sub, kept, provenance
 
 
-def cmd_stationary(args) -> int:
+def _solve(args):
+    """Prepare the input graph and solve its stationary distribution.
+
+    Returns the graph, the original index of each of its nodes, the solve
+    and the sidecar fields that the stationary and lorenz reports share.
+    """
     g, kept, provenance = _prepare_graph(args.input, args.strict)
     result = stationary(transition_matrix(g), args.tolerance, args.max_iterations)
-    out = Path(args.output or f"{Path(args.input).stem}.pi.csv")
-    write_csv(out, ["node", "label", "pi"],
-              zip(kept.tolist(), map(g.label_for, range(g.n)), result.pi.tolist()))
-    write_json(Path(str(out) + METADATA_SUFFIX), {
+    sidecar = {
         "input": str(args.input),
         "tolerance": args.tolerance,
         "max_iterations": args.max_iterations,
-        "strict": args.strict,
         **provenance,
+    }
+    return g, kept, result, sidecar
+
+
+def cmd_stationary(args) -> int:
+    g, kept, result, sidecar = _solve(args)
+    out = Path(args.output or f"{Path(args.input).stem}.pi.csv")
+    write_csv(out, ["node", "label", "pi"],
+              zip(kept.tolist(), g.node_labels, result.pi.tolist()))
+    write_json(Path(str(out) + METADATA_SUFFIX), {
+        **sidecar,
+        "strict": args.strict,
         "iterations": result.iterations,
         "residual": result.residual,
     })
@@ -106,17 +123,8 @@ def cmd_stationary(args) -> int:
     return 0
 
 
-def _read_stripped_lines(path: str) -> list[str]:
-    """Stripped lines of a UTF-8 text file, a leading byte-order mark dropped."""
-    try:
-        with open(path, "r", encoding="utf-8-sig") as fh:
-            return [raw.strip() for raw in fh]
-    except UnicodeDecodeError as exc:
-        raise ValidationError(f"{path} is not valid UTF-8 ({exc.reason})") from None
-
-
 def _read_target_labels(path: str) -> list[str]:
-    labels = [line for line in _read_stripped_lines(path)
+    labels = [line for line in map(str.strip, read_lines(path))
               if line and not line.startswith("#")]
     if not labels:
         raise ValidationError(f"no target labels found in {path}")
@@ -169,7 +177,7 @@ def cmd_modify(args) -> int:
         "bias_strength": spec.bias_strength,
         "alpha": spec.alpha,
         "seed": seed,
-        "targets": [g.label_for(i) for i in ts.members],
+        "targets": [g.node_labels[i] for i in ts.members],
         **provenance,
     })
     out_run = outdir / f"{stem}.run.csv"
@@ -213,7 +221,7 @@ _MODE_STRENGTHS = {
 def _parse_config_file(path: str) -> dict:
     """Flat key = value sweep configuration, keys named after SweepConfig."""
     values: dict = {}
-    for lineno, line in enumerate(_read_stripped_lines(path), start=1):
+    for lineno, line in enumerate(map(str.strip, read_lines(path)), start=1):
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
@@ -301,17 +309,11 @@ def cmd_synth(args) -> int:
 
 
 def cmd_lorenz(args) -> int:
-    g, _, provenance = _prepare_graph(args.input, args.strict)
+    g, _, result, sidecar = _solve(args)
     out = Path(args.output or f"{Path(args.input).stem}.lorenz.csv")
-    result = stationary(transition_matrix(g), args.tolerance, args.max_iterations)
     write_csv(out, ["node_fraction", "cumulative_energy"],
               lorenz_curve(result.pi).tolist())
-    write_json(Path(str(out) + METADATA_SUFFIX), {
-        "input": str(args.input),
-        "tolerance": args.tolerance,
-        "max_iterations": args.max_iterations,
-        **provenance,
-    })
+    write_json(Path(str(out) + METADATA_SUFFIX), sidecar)
     print(f"wrote concentration curve ({g.n + 1} points) -> {out}")
     return 0
 

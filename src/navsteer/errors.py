@@ -16,7 +16,7 @@ class ValidationError(NavsteerError, ValueError):
 
 
 class EdgeListParseError(NavsteerError):
-    """A line of an edge-list file could not be parsed."""
+    """A line of an input file could not be parsed."""
 
     def __init__(self, message: str, line_number: int | None = None):
         self.line_number = line_number

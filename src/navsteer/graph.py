@@ -31,7 +31,8 @@ class WeightedDigraph:
 
     ``adjacency`` is a CSC matrix so a node's out-links (one column) are
     retrievable in time proportional to its out-degree. Stored weights are
-    strictly positive and the diagonal is empty (no self-loops).
+    strictly positive and the diagonal is empty (no self-loops). A graph
+    built without ``node_labels`` labels each node by its index.
     """
 
     n: int
@@ -43,7 +44,10 @@ class WeightedDigraph:
         if a.shape != (self.n, self.n):
             raise ValidationError(
                 f"adjacency shape {a.shape} does not match n={self.n}")
-        if self.node_labels is not None and len(self.node_labels) != self.n:
+        if self.node_labels is None:
+            object.__setattr__(self, "node_labels",
+                               tuple(map(str, range(self.n))))
+        if len(self.node_labels) != self.n:
             raise ValidationError("node_labels length does not match n")
         if a.nnz:
             if not np.all(np.isfinite(a.data)):
@@ -93,18 +97,13 @@ class WeightedDigraph:
         return np.asarray(self.adjacency.sum(axis=1)).ravel()
 
     def total_weight(self) -> float:
-        return float(self.adjacency.data.sum()) if self.adjacency.nnz else 0.0
+        return float(self.adjacency.data.sum())
 
     def edge_count(self) -> int:
         return int(self.adjacency.nnz)
 
-    def label_for(self, i: int) -> str:
-        return self.node_labels[i] if self.node_labels is not None else str(i)
-
     def label_index(self) -> dict[str, int]:
         """Map from node label to internal index (built on demand)."""
-        if self.node_labels is None:
-            return {str(i): i for i in range(self.n)}
         return {lab: i for i, lab in enumerate(self.node_labels)}
 
     def with_adjacency(self, adjacency: csc_array) -> "WeightedDigraph":
@@ -123,7 +122,12 @@ def column_of_entries(a: csc_array) -> np.ndarray:
     return np.repeat(np.arange(a.shape[1]), np.diff(a.indptr))
 
 
-def _iter_lines(source) -> Iterator[str]:
+def read_lines(source: str | Path | IO[str]) -> Iterator[str]:
+    """Raw lines of a UTF-8 text file or of an open text stream.
+
+    A leading byte-order mark is dropped. A file that is not UTF-8 raises
+    :class:`EdgeListParseError` naming its first bad line and the file.
+    """
     if hasattr(source, "read"):
         yield from source
         return
@@ -141,7 +145,7 @@ def _iter_lines(source) -> Iterator[str]:
         bad = next((lineno for lineno, line in enumerate(lines, start=1)
                     if line.decode("utf-8", "replace").encode("utf-8") != line),
                    None)
-        raise EdgeListParseError(f"not valid UTF-8 ({exc.reason})",
+        raise EdgeListParseError(f"not valid UTF-8 ({exc.reason}) in {source}",
                                  line_number=bad) from None
 
 
@@ -171,7 +175,7 @@ def load_edge_list(source: str | Path | IO[str]) -> WeightedDigraph:
             labels.append(label)
         return idx
 
-    for lineno, raw in enumerate(_iter_lines(source), start=1):
+    for lineno, raw in enumerate(read_lines(source), start=1):
         line = raw.rstrip("\r\n")
         if not line.strip() or line.lstrip().startswith("#"):
             continue
@@ -254,7 +258,7 @@ def write_edge_list(
     a = g.adjacency
     src, dst = column_of_entries(a), a.indices
     order = _write_order(g.n, src, dst)
-    labels = g.node_labels or [str(i) for i in range(g.n)]
+    labels = g.node_labels
     src, dst, wts = src[order].tolist(), dst[order].tolist(), a.data[order].tolist()
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.writelines(f"{labels[s]}\t{labels[d]}\t{_format_weight(w)}\n"
@@ -280,16 +284,13 @@ def largest_scc(g: WeightedDigraph) -> tuple[WeightedDigraph, np.ndarray]:
         raise EmptyGraphError("cannot extract a component from an empty graph")
     # SCCs are invariant under edge reversal, so the in-link orientation of
     # the adjacency does not matter here.
-    n_comp, labels = connected_components(
+    _, labels = connected_components(
         g.adjacency, directed=True, connection="strong")
-    sizes = np.bincount(labels, minlength=n_comp)
-    first_seen = np.full(n_comp, g.n, dtype=np.int64)
-    np.minimum.at(first_seen, labels, np.arange(g.n))
-    best = max(range(n_comp), key=lambda c: (sizes[c], -first_seen[c]))
+    # the first node in a largest component is the lowest-indexed one
+    best = labels[np.argmax(np.bincount(labels)[labels])]
     keep = np.flatnonzero(labels == best)
     sub = g.adjacency.tocsr()[keep, :][:, keep].tocsc()
     sub.sort_indices()
-    sub_labels = (tuple(g.node_labels[i] for i in keep)
-                  if g.node_labels is not None else None)
+    sub_labels = tuple(g.node_labels[i] for i in keep)
     return WeightedDigraph(n=len(keep), adjacency=sub, node_labels=sub_labels), keep
 

@@ -116,13 +116,6 @@ def weight_budget(g: WeightedDigraph, t: np.ndarray, b: float) -> float:
     return (b - 1.0) * float(g.in_weights()[mask].sum())
 
 
-def link_budget(original: WeightedDigraph, modified: WeightedDigraph) -> float:
-    """Realized budget of a modification: Σ W' - Σ W."""
-    if original.n != modified.n:
-        raise ValidationError("graphs must have the same node count")
-    return modified.total_weight() - original.total_weight()
-
-
 def click_bias(g: WeightedDigraph, t: np.ndarray, b: float) -> WeightedDigraph:
     """Multiply the weight of every link pointing at a target by ``b``.
 

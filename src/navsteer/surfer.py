@@ -71,15 +71,21 @@ def transition_matrix(g: WeightedDigraph) -> TransitionMatrix:
     """Normalize each adjacency column into outgoing-click probabilities.
 
     Raises :class:`DanglingNodeError` naming the first node with zero
-    out-weight; without teleportation such a node absorbs the surfer.
+    out-weight; without teleportation such a node absorbs the surfer. A
+    node whose out-weight overflows float64 raises :class:`ValidationError`.
     """
     if g.n == 0:
         raise EmptyGraphError("transition matrix of an empty graph is undefined")
-    out = g.out_weights()
+    with np.errstate(over="ignore"):
+        out = g.out_weights()
     dangling = np.flatnonzero(out <= 0)
     if dangling.size:
         node = int(dangling[0])
-        raise DanglingNodeError(node, g.label_for(node))
+        raise DanglingNodeError(node, g.node_labels[node])
+    overflow = np.flatnonzero(~np.isfinite(out))
+    if overflow.size:
+        raise ValidationError(f"node {g.node_labels[overflow[0]]!r} has an "
+                              "out-weight too large to sum in float64")
     a = g.adjacency
     cols = column_of_entries(a)
     scaled = a.copy()

@@ -109,5 +109,5 @@ def write_targets_csv(
 ) -> None:
     """Write sampled target sets as CSV rows of sample_id,node_index,label."""
     write_csv(path, ["sample_id", "node_index", "label"],
-              ([ts.sample_id, i, g.label_for(i)]
+              ([ts.sample_id, i, g.node_labels[i]]
                for ts in target_sets for i in ts.members))

@@ -26,8 +26,6 @@ def round_half_up(x: float) -> int:
 
 
 def _component_entropy(value) -> int:
-    if isinstance(value, (bool,)):
-        return int(value)
     if isinstance(value, (int, np.integer)):
         return int(value) & _U64
     if isinstance(value, (float, np.floating)):

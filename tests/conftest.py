@@ -29,6 +29,11 @@ def t4() -> WeightedDigraph:
     return make_t4()
 
 
+def weight_delta(original: WeightedDigraph, modified: WeightedDigraph) -> float:
+    """Realized budget of a modification: total weight added to the graph."""
+    return modified.total_weight() - original.total_weight()
+
+
 def read_crlf(path) -> list[str]:
     """Lines of a CSV report split on CRLF (read_text would fold them away)."""
     return path.read_bytes().decode("utf-8").split("\r\n")

@@ -34,13 +34,12 @@ from navsteer.modify import (
     click_bias,
     insert_links,
     combine,
-    link_budget,
     weight_budget,
 )
 from navsteer.synth import scale_free_graph
 from navsteer.util import round_half_up
 
-from conftest import dense_stationary, make_t4, random_scc_graph
+from conftest import dense_stationary, make_t4, random_scc_graph, weight_delta
 
 # Frozen synthetic benchmark: every dataset-scale criterion runs on this
 # exact graph so results are reproducible bit for bit.
@@ -151,12 +150,12 @@ def test_criterion_04_budget_accounting_exact():
 
         l_b = weight_budget(g, t, b)
         expected = (b - 1.0) * float(np.dot(g.in_weights(), t))
-        if link_budget(g, click_bias(g, t, b)) != expected or l_b != expected:
+        if weight_delta(g, click_bias(g, t, b)) != expected or l_b != expected:
             violations += 1
             continue
         count = round_half_up(l_b)
         inserted, budget = insert_links(g, t, pi, count)
-        if link_budget(g, inserted) != float(count):
+        if weight_delta(g, inserted) != float(count):
             violations += 1
         elif np.any(inserted.adjacency.diagonal() != 0.0):
             violations += 1

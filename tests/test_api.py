@@ -1,6 +1,7 @@
 """The package's public namespace matches its ``__all__``."""
 
 import ast
+import sys
 import types
 from pathlib import Path
 
@@ -40,3 +41,56 @@ def test_no_module_imports_a_private_name_from_a_sibling():
                for module, name in _sibling_imports(path)
                if name.startswith("_") and not name.endswith("__")]
     assert private == []
+
+
+_PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _reached_attributes(path):
+    """(module, imported name, attribute) for every ``name.attr`` a module
+    reads from a name it imports from navsteer."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("navsteer"):
+            for alias in node.names:
+                imported[alias.asname or alias.name] = (node.module, alias.name)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
+                and node.value.id in imported:
+            yield (*imported[node.value.id], node.attr)
+
+
+def test_benchmark_hooks_resolve(monkeypatch):
+    # the benchmark wraps package functions by name, so a renamed or deleted
+    # one breaks traced runs without failing any other test
+    import importlib
+    import importlib.util
+
+    import navsteer.cli  # noqa: F401  (the tracer patches its attributes)
+
+    spec = importlib.util.spec_from_file_location("perfbench_spans",
+                                                  _PERFBENCH / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    # its dataclasses resolve annotations through sys.modules
+    monkeypatch.setitem(sys.modules, spec.name, spans)
+    spec.loader.exec_module(spans)
+    patched = (navsteer.cli, navsteer.experiment, navsteer.modify)
+    before = [dict(vars(module)) for module in patched]
+    tracer = spans.Tracer()
+    spans.install(tracer, navsteer)
+    assert navsteer.experiment.stationary is not navsteer.surfer.stationary
+    tracer.unpatch()
+    assert navsteer.experiment.stationary is navsteer.surfer.stationary
+    assert [dict(vars(module)) for module in patched] == before
+
+    reached = {hook for name in ("checks.py", "workloads.py")
+               for hook in _reached_attributes(_PERFBENCH / name)}
+    assert {("navsteer", "experiment", "_make_spec"),
+            ("navsteer", "experiment", "sample_target_sets"),
+            ("navsteer", "experiment", "run_single_detailed"),
+            ("navsteer", "graph", "METADATA_SUFFIX")} <= reached
+    missing = [f"{imported}.{attr}" for module, imported, attr in sorted(reached)
+               if not hasattr(getattr(importlib.import_module(module), imported),
+                              attr)]
+    assert missing == []

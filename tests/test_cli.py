@@ -9,6 +9,7 @@ import csv
 import hashlib
 import json
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -108,12 +109,46 @@ def test_non_utf8_input_exit_code(tmp_path, t4_file, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: line 3: not valid UTF-8")
     assert "Traceback" not in err
+    assert err.rstrip().endswith(f"in {bad}")
     targets = tmp_path / "targets.txt"
-    targets.write_bytes(b"p\xe91\n")
+    targets.write_bytes(b"p1\np\xe91\n")
     assert main(["modify", str(t4_file), "--strategy", "bias",
                  "--bias-strength", "2", "--targets-file", str(targets),
                  "--seed", "1", "--output-dir", str(tmp_path)]) == 2
-    assert "not valid UTF-8" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("error: line 2: not valid UTF-8")
+    assert err.rstrip().endswith(f"in {targets}")
+
+
+@pytest.mark.parametrize("text, strict_code", [("a\tb\nb\tc\n", 4),
+                                               ("a\ta\n", 2)])
+@pytest.mark.parametrize("command", [
+    ["stationary"], ["lorenz"],
+    ["modify", "--strategy", "bias", "--bias-strength", "2", "--phi", "1"]])
+def test_linkless_largest_component_exit_code(tmp_path, monkeypatch, capsys,
+                                              text, strict_code, command):
+    # the component kept is a single page: one end of a chain of one-way
+    # links, or a page whose only link is a dropped self-loop
+    monkeypatch.chdir(tmp_path)
+    path = tmp_path / "g.tsv"
+    path.write_text(text)
+    argv = [command[0], str(path), *command[1:]]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"no strongly connected component of {path} has a link" in err
+    assert "no outgoing weight" not in err
+    assert main(argv + ["--strict"]) == strict_code
+
+
+def test_overflowing_out_weight_exit_code(tmp_path, capsys):
+    path = tmp_path / "g.tsv"
+    path.write_text("a\tb\t1e308\na\tc\t1e308\nb\ta\nc\ta\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["stationary", str(path), "-o", str(tmp_path / "pi.csv")]) == 2
+    err = capsys.readouterr().err
+    assert "node 'a' has an out-weight too large to sum in float64" in err
+    assert "RuntimeWarning" not in err
 
 
 def test_missing_file_exit_code(tmp_path, capsys):

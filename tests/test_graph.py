@@ -103,7 +103,7 @@ def test_weight_conservation():
 
 
 def test_label_lookup(t4):
-    assert t4.label_for(2) == "p3"
+    assert t4.node_labels[2] == "p3"
     assert t4.label_index()["p4"] == 3
 
 
@@ -136,7 +136,7 @@ def test_write_load_round_trip(tmp_path_factory, seed, n, integer_weights,
     g2 = load_edge_list(path)
     assert g2.n == g.n
     assert (g.adjacency != g2.adjacency).nnz == 0
-    assert tuple(g2.node_labels) == tuple(g.label_for(i) for i in range(g.n))
+    assert g2.node_labels == g.node_labels
 
 
 def test_integer_weights_written_without_decimal(tmp_path):
@@ -203,6 +203,20 @@ def test_largest_scc_tie_breaks_toward_lowest_index():
     g = WeightedDigraph.from_edges(4, [0, 1, 2, 3], [1, 0, 3, 2])
     sub, kept = largest_scc(g)
     assert kept.tolist() == [0, 1]
+
+
+def test_largest_scc_tie_among_many_singletons():
+    # 40 singleton pages around two disjoint 3-cycles; the cycle holding
+    # the lower index wins
+    n = 46
+    src = [10, 11, 12, 30, 31, 32] + list(range(40, 45))
+    dst = [11, 12, 10, 31, 32, 30] + list(range(41, 46))
+    rng = np.random.default_rng(5)
+    perm = rng.permutation(n)
+    g = WeightedDigraph.from_edges(n, perm[src], perm[dst])
+    _, kept = largest_scc(g)
+    assert set(kept.tolist()) == largest_scc_members_oracle(g)
+    assert len(kept) == 3
 
 
 def test_largest_scc_of_empty_graph_raises():

@@ -26,11 +26,11 @@ from navsteer.modify import (
     _eligible_entries,
     combine,
     insert_links,
-    link_budget,
     weight_budget,
 )
 
-from conftest import T4_PI, dense_stationary, make_t4, random_scc_graph
+from conftest import (T4_PI, dense_stationary, make_t4, random_scc_graph,
+                      weight_delta)
 
 T1 = np.array([1.0, 0.0, 0.0, 0.0])
 
@@ -61,7 +61,7 @@ def test_weight_budget_rejects_weak_bias(t4):
 
 def test_link_budget_is_weight_delta(t4):
     modified = click_bias(t4, T1, 3.0)
-    assert link_budget(t4, modified) == pytest.approx(weight_budget(t4, T1, 3.0))
+    assert weight_delta(t4, modified) == pytest.approx(weight_budget(t4, T1, 3.0))
 
 
 # ------------------------------------------------------------- click bias
@@ -153,7 +153,7 @@ def test_insert_sources_in_descending_probability(t4):
     assert g2.adjacency[0, 1] == 2.0
     assert g2.adjacency[0, 3] == 1.0
     assert budget.parallel_inserted == 1
-    assert link_budget(t4, g2) == 2.0
+    assert weight_delta(t4, g2) == 2.0
 
 
 def test_insert_wraps_around_when_pairs_exhausted(t4):
@@ -166,7 +166,7 @@ def test_insert_wraps_around_when_pairs_exhausted(t4):
     assert budget.inserted_count == 5
     # placements 1, 4 and 5 land on already-present links
     assert budget.parallel_inserted == 3
-    assert link_budget(t4, g2) == 5.0
+    assert weight_delta(t4, g2) == 5.0
 
 
 def test_insert_orders_targets_by_probability(t4):
@@ -195,7 +195,7 @@ def test_insert_skips_self_loops_uncounted():
     g2, budget = insert_links(g, np.ones(3), pi, 3)
     assert np.all(g2.adjacency.diagonal() == 0.0)
     assert budget.inserted_count == 3
-    assert link_budget(g, g2) == 3.0
+    assert weight_delta(g, g2) == 3.0
 
 
 def test_insert_budget_must_be_positive_integer(t4):
@@ -224,7 +224,7 @@ def test_insert_exact_accounting_random_cases():
         budget_count = int(rng.integers(2, 4 * g.n))
         pi = solve(g)
         g2, budget = insert_links(g, t, pi, budget_count)
-        assert link_budget(g, g2) == float(budget_count)   # integer exact
+        assert weight_delta(g, g2) == float(budget_count)   # integer exact
         assert budget.inserted_count == budget_count
         assert np.all(g2.adjacency.diagonal() == 0.0)
         # inserted weight lands only on target rows
@@ -362,7 +362,7 @@ def test_combine_toy_case_bias_does_not_fit(t4):
     assert g2.adjacency[0, 1] == 3.0
     assert g2.adjacency[0, 3] == 1.0
     assert g2.adjacency[0, 2] == 1.0
-    assert link_budget(t4, g2) == 4.0
+    assert weight_delta(t4, g2) == 4.0
 
 
 def test_combine_partial_bias_then_insert(t4):
@@ -373,7 +373,7 @@ def test_combine_partial_bias_then_insert(t4):
     g2, budget = combine(t4, t, T4_PI, b=2.0, alpha=0.75, rng=rng)
     assert budget.biased_weight == 1.0
     assert budget.inserted_count == 1
-    assert link_budget(t4, g2) == pytest.approx(2.0)
+    assert weight_delta(t4, g2) == pytest.approx(2.0)
 
 
 def test_combine_alpha_one_equals_click_bias():
@@ -456,7 +456,7 @@ def test_combine_budget_conservation():
         merged, budget = combine(g, t, pi, b=b, alpha=alpha,
                                  rng=np.random.default_rng(int(rng.integers(1 << 30))))
         l_b = weight_budget(g, t, b)
-        realized = link_budget(g, merged)
+        realized = weight_delta(g, merged)
         assert realized == pytest.approx(budget.total_weight)
         assert abs(realized - l_b) <= 0.5 + 1e-9
         assert budget.biased_weight + budget.inserted_count == pytest.approx(realized)

@@ -1,5 +1,7 @@
 """Transition matrix construction, power iteration, concentration curve."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -42,6 +44,17 @@ def test_transition_rejects_dangling_node():
     with pytest.raises(DanglingNodeError) as err:
         transition_matrix(g)
     assert "sink" in str(err.value)
+
+
+def test_transition_rejects_overflowing_out_weight():
+    # each weight is finite, but node a's out-weight sums past float64
+    g = WeightedDigraph.from_edges(3, [0, 0, 1, 2], [1, 2, 0, 0],
+                                   [1e308, 1e308, 1.0, 1.0],
+                                   node_labels=("a", "b", "c"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match="node 'a' has an out-weight"):
+            transition_matrix(g)
 
 
 def test_transition_rejects_empty_graph():

@@ -128,4 +128,4 @@ def test_write_targets_csv(tmp_path):
     assert len(lines) == 1 + sum(len(ts.members) for ts in sets)
     first = lines[1].split(",")
     assert first[0] == "0"
-    assert first[2] == g.label_for(int(first[1]))
+    assert first[2] == g.node_labels[int(first[1])]
