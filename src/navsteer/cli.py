@@ -8,6 +8,7 @@ Exit codes: 0 success, 2 input/parameter parse failure, 3 non-convergence
 from __future__ import annotations
 
 import argparse
+import csv
 import logging
 import secrets
 import sys
@@ -123,31 +124,29 @@ def cmd_stationary(args) -> int:
     return 0
 
 
-def _read_target_labels(path: str) -> list[str]:
-    labels = [line for line in map(str.strip, read_lines(path))
-              if line and not line.startswith("#")]
-    if not labels:
-        raise ValidationError(f"no target labels found in {path}")
-    return labels
-
-
 def _resolve_targets(args, g: WeightedDigraph, seed: int) -> TargetSet:
     """Build the target set from --targets, --targets-file or --phi."""
     if args.phi is not None:
         return sample_target_sets(g, args.phi, 1, seed)[0]
-    if args.targets is not None:
-        labels = [s.strip() for s in args.targets.split(",") if s.strip()]
+    if args.targets is None:
+        labels = [line for line in map(str.strip, read_lines(args.targets_file))
+                  if line and not line.startswith("#")]
+        if not labels:
+            raise ValidationError(f"no target labels found in {args.targets_file}")
     else:
-        labels = _read_target_labels(args.targets_file)
+        try:  # one CSV record, quoted as the reports quote labels
+            record = next(csv.reader([args.targets], strict=True,
+                                     skipinitialspace=True))
+        except csv.Error as exc:
+            raise ValidationError(f"--targets is not one CSV record: {exc}") from None
+        labels = [s.strip() for s in record if s.strip()]
     index = g.label_index()
-    members = []
     for lab in labels:
         if lab not in index:
             raise ValidationError(
                 f"target {lab!r} is not in the graph used for analysis "
                 "(it may lie outside the largest strongly connected component)")
-        members.append(index[lab])
-    members = sorted(set(members))
+    members = sorted({index[lab] for lab in labels})
     return TargetSet(members=tuple(members), phi=len(members) / g.n,
                      sample_id=0, seed=seed)
 
@@ -357,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, default=None,
                    help="bias fraction of the budget (combined only)")
     group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--targets", help="comma-separated target node labels")
+    group.add_argument("--targets", help="target node labels as one CSV record")
     group.add_argument("--targets-file",
                        help="file with one target label per line")
     group.add_argument("--phi", type=float,

@@ -32,11 +32,10 @@ class EmptyGraphError(NavsteerError):
 class DanglingNodeError(NavsteerError):
     """A node with zero out-weight makes the transition matrix undefined."""
 
-    def __init__(self, node: int, label: str | None = None):
+    def __init__(self, node: int, label: str):
         self.node = node
         self.label = label
-        shown = label if label is not None else str(node)
-        super().__init__(f"node {shown!r} has no outgoing weight; "
+        super().__init__(f"node {label!r} has no outgoing weight; "
                          "transition probabilities are undefined")
 
 

@@ -15,7 +15,7 @@ import json
 import logging
 import math
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -42,13 +42,6 @@ from .targets import TargetSet, sample_target_sets, target_vector
 from .util import derive_seed, write_csv
 
 logger = logging.getLogger(__name__)
-
-# Column order of the records CSV; fixed, do not reorder.
-CSV_HEADER = (
-    "graph_id,strategy,phi,sample_id,b,alpha,pi_t,pi_t_prime,tau,"
-    "d_in,d_out,degree_ratio,l_b,inserted_count,biased_weight,"
-    "iters_before,iters_after,wall_time_ms"
-)
 
 REALISTIC_BIAS_STRENGTHS = tuple(float(b) for b in range(2, 16))
 SATURATION_BIAS_STRENGTHS = (2.0, 5.0, 10.0, 20.0, 35.0, 50.0, 100.0, 150.0, 200.0)
@@ -97,7 +90,8 @@ class RunRecord:
 
     ``phi`` is the requested grid value; the realized fraction follows from
     the target-set size. ``target_hash`` identifies the sampled member set
-    (used to assert reuse across strategies); it is not a CSV column.
+    (used to assert reuse across strategies); the other fields are the
+    records CSV columns in their fixed order, so do not reorder them.
     """
 
     graph_id: str
@@ -119,6 +113,9 @@ class RunRecord:
     iters_after: int
     wall_time_ms: float
     target_hash: str = ""
+
+
+CSV_HEADER = ",".join(f.name for f in fields(RunRecord) if f.name != "target_hash")
 
 
 @dataclass(frozen=True)

@@ -68,22 +68,23 @@ class ModificationSpec:
 class LinkBudget:
     """Accounting of the weight a modification added to the graph.
 
-    ``total_weight`` is the realized Σ W' - Σ W. ``parallel_inserted``
-    counts inserted unit links that landed on an already-present link
-    (pre-existing or placed earlier in the same operation, which covers
-    wrap-around passes).
+    ``parallel_inserted`` counts inserted unit links that landed on an
+    already-present link (pre-existing or placed earlier in the same
+    operation, which covers wrap-around passes).
     """
 
-    total_weight: float
     inserted_count: int
     biased_weight: float
     parallel_inserted: int
 
     def __post_init__(self):
-        if self.total_weight < 0 or self.biased_weight < 0:
-            raise ValidationError("budget weights cannot be negative")
-        if self.inserted_count < 0 or self.parallel_inserted < 0:
-            raise ValidationError("budget counts cannot be negative")
+        if min(self.inserted_count, self.biased_weight, self.parallel_inserted) < 0:
+            raise ValidationError("budget weights and counts cannot be negative")
+
+    @property
+    def total_weight(self) -> float:
+        """The realized Σ W' - Σ W: biased weight plus one per inserted link."""
+        return self.biased_weight + self.inserted_count
 
 
 def _target_mask(t: np.ndarray, n: int) -> np.ndarray:
@@ -113,7 +114,20 @@ def weight_budget(g: WeightedDigraph, t: np.ndarray, b: float) -> float:
     """
     check_bias_strength(b)
     mask = _target_mask(t, g.n)
-    return (b - 1.0) * float(g.in_weights()[mask].sum())
+    with np.errstate(over="ignore"):
+        l_b = (b - 1.0) * float(g.in_weights()[mask].sum())
+    if not math.isfinite(l_b):
+        raise ValidationError(f"weight budget overflows float64 at bias strength {b!r}")
+    return l_b
+
+
+def _bias(weights: np.ndarray, b: float) -> np.ndarray:
+    """``weights`` times ``b``; a product past float64 is a ValidationError."""
+    with np.errstate(over="ignore"):
+        biased = weights * b
+    if not np.all(np.isfinite(biased)):
+        raise ValidationError(f"bias strength {b!r} overflows a link weight in float64")
+    return biased
 
 
 def click_bias(g: WeightedDigraph, t: np.ndarray, b: float) -> WeightedDigraph:
@@ -126,9 +140,8 @@ def click_bias(g: WeightedDigraph, t: np.ndarray, b: float) -> WeightedDigraph:
     check_bias_strength(b)
     mask = _target_mask(t, g.n)
     scaled = g.adjacency.copy()
-    if scaled.nnz:
-        factors = np.where(mask[scaled.indices], b, 1.0)
-        scaled.data = scaled.data * factors
+    onto = mask[scaled.indices]
+    scaled.data[onto] = _bias(scaled.data[onto], b)
     return g.with_adjacency(scaled)
 
 
@@ -185,7 +198,6 @@ def insert_links(
     # a placement is parallel unless it is the first on a pair that was not
     # stored before; weights stay positive, so those pairs are the new nnz
     budget = LinkBudget(
-        total_weight=float(budget_count),
         inserted_count=budget_count,
         biased_weight=0.0,
         parallel_inserted=budget_count - (new_adj.nnz - g.adjacency.nnz),
@@ -261,7 +273,8 @@ def combine(
     consumed = float(spent[k])
 
     adj = g.adjacency.copy()
-    adj.data[pos[order[:k]]] *= b
+    taken = pos[order[:k]]
+    adj.data[taken] = _bias(adj.data[taken], b)
     partially_modified = g.with_adjacency(adj)
     insert_count = round_half_up(l_b - consumed)
     if insert_count >= 1:
@@ -272,7 +285,6 @@ def combine(
         insert_count = 0
 
     budget = LinkBudget(
-        total_weight=consumed + insert_count,
         inserted_count=insert_count,
         biased_weight=consumed,
         parallel_inserted=parallel,
@@ -295,8 +307,8 @@ def apply_modification(
     if spec.strategy is Strategy.CLICK_BIAS:
         l_b = weight_budget(g, t, b)
         modified = click_bias(g, t, b)
-        return modified, LinkBudget(total_weight=l_b, inserted_count=0,
-                                    biased_weight=l_b, parallel_inserted=0)
+        return modified, LinkBudget(inserted_count=0, biased_weight=l_b,
+                                    parallel_inserted=0)
     if spec.strategy is Strategy.LINK_INSERTION:
         count = round_half_up(weight_budget(g, t, b))
         return insert_links(g, t, pi, count)

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_array
+from scipy.sparse import csc_array, csr_array
 from scipy.sparse.csgraph import breadth_first_order
 
 from .errors import (
@@ -47,8 +47,7 @@ class TransitionMatrix:
             col_sums = np.asarray(self.entries.sum(axis=0)).ravel()
             if np.max(np.abs(col_sums - 1.0)) > 1e-12:
                 raise ValidationError("transition matrix columns must sum to 1")
-            if self.entries.nnz and (np.any(self.entries.data < 0)
-                                     or np.any(self.entries.data > 1)):
+            if np.any(self.entries.data < 0) or np.any(self.entries.data > 1):
                 raise ValidationError("transition probabilities must lie in [0, 1]")
 
 
@@ -87,17 +86,12 @@ def transition_matrix(g: WeightedDigraph) -> TransitionMatrix:
         raise ValidationError(f"node {g.node_labels[overflow[0]]!r} has an "
                               "out-weight too large to sum in float64")
     a = g.adjacency
-    cols = column_of_entries(a)
-    scaled = a.copy()
-    scaled.data = a.data / out[cols]
+    # int32 indices whenever they fit, as scipy keeps a graph's int64 ones:
+    # the period check, the censored chain and every power step take P's type
+    index = np.int32 if a.nnz < np.iinfo(np.int32).max else np.int64
+    scaled = csc_array((a.data / out[column_of_entries(a)], a.indices.astype(index),
+                        a.indptr.astype(index)), shape=a.shape)
     return TransitionMatrix(n=g.n, entries=csr_array(scaled))
-
-
-def _index_dtype(n: int):
-    """int32 for page indices and BFS levels up to n + 1 whenever they fit:
-    it halves the per-link temporaries of the period check and the
-    censored build."""
-    return np.int32 if n < np.iinfo(np.int32).max else np.int64
 
 
 def chain_period(matrix) -> int:
@@ -117,9 +111,8 @@ def chain_period(matrix) -> int:
         return 1
     # depths by pointer jumping: level[v] counts the tree links from v up to
     # parent[v], and only the root is at level 0
-    parent = parent.astype(np.intp)
     parent[0] = 0
-    level = (parent != np.arange(n)).astype(_index_dtype(n))
+    level = (parent != np.arange(n)).astype(matrix.indices.dtype)
     while (step := level[parent]).any():
         level += step
         parent = parent[parent]
@@ -145,20 +138,21 @@ def _power_iteration(matrix, v, tolerance, steps, history):
 
 
 def _censor(matrix):
-    """The chain censored to the pages with more than one out-link.
+    """``(Q, single)``: the chain censored to the pages with more than one
+    out-link, and the mask of the pages censored out.
 
     A page e with a single out-link passes all its mass on, so its mass
-    lands on ``jump(e)``, the first other page on its successor path. The
-    censored chain Q moves each link's target to its jump and keeps the
-    remaining pages S; its stationary vector is pi restricted to S,
-    renormalised (Meyer, SIAM Review 31(2), 1989). Returns ``(Q, single)``
-    with ``single`` the mask of censored pages, or None when no page has a
-    single out-link or some of them lie on a closed loop of such pages.
+    lands on ``jump(e)``, the first other page on its successor path. Q
+    moves each link's target to its jump and keeps the other pages S; its
+    stationary vector is pi restricted to S, renormalised (Meyer, SIAM
+    Review 31(2), 1989). Nothing is censored (Q is ``matrix`` itself and
+    ``single`` all False) when no page has a single out-link, when such
+    pages close a loop, or when Q would be periodic.
     """
     n = matrix.shape[0]
     single = np.bincount(matrix.indices, minlength=n) == 1
     if not single.any():
-        return None
+        return matrix, single
     entry = np.flatnonzero(single[matrix.indices])
     jump = np.arange(n)
     jump[matrix.indices[entry]] = np.searchsorted(matrix.indptr, entry, side="right") - 1
@@ -168,16 +162,19 @@ def _censor(matrix):
             break
         jump = jump[jump]
     if single[jump].any():
-        return None
+        return matrix, np.zeros(n, dtype=bool)
     # Q in one step: each stored link keeps its weight, its target moves
     # to the target's jump, and links out of censored pages are dropped
     kept = ~single
-    position = np.cumsum(kept, dtype=_index_dtype(n)) - 1
+    position = np.cumsum(kept, dtype=matrix.indices.dtype) - 1
     links = kept[matrix.indices]
     rows = np.repeat(position[jump], np.diff(matrix.indptr))[links]
     cols = position[matrix.indices[links]]
     m = np.count_nonzero(kept)
-    return csr_array((matrix.data[links], (rows, cols)), shape=(m, m)), single
+    q = csr_array((matrix.data[links], (rows, cols)), shape=(m, m))
+    if chain_period(q) > 1:
+        return matrix, np.zeros(n, dtype=bool)
+    return q, single
 
 
 def _recover(matrix, single, y):
@@ -207,15 +204,13 @@ def stationary(
     One step from the uniform vector comes first; a chain it already
     satisfies returns with 1 iteration. A periodic chain then raises
     :class:`PeriodicChainError` before any further step. Otherwise the
-    power iteration runs on the chain censored to the pages with more than
-    one out-link, and ``iterations`` counts its steps; the full chain is
-    iterated instead (its first step being the uniform one) when there is
-    nothing to censor or the censored chain is periodic. The result must
-    satisfy ||P pi - pi||_1 <= max(1e-9, 1e3 * tolerance).
+    chain that :func:`_censor` picks is iterated from its uniform vector
+    (with nothing censored it is P, and its first step repeats the uniform
+    one), ``iterations`` counts its steps, censored pages are recovered,
+    and the result must satisfy ||P pi - pi||_1 <= max(1e-9, 1e3 * tolerance).
 
     Non-convergence raises :class:`ConvergenceError` carrying the last
-    iterate (over all pages) and the residual history of the chain that
-    was iterated.
+    iterate over all pages and the iterated chain's residual history.
     """
     if tolerance <= 0:
         raise ValidationError("tolerance must be positive")
@@ -226,18 +221,14 @@ def stationary(
     v, done = _power_iteration(matrix, np.full(p.n, 1.0 / p.n), tolerance, 1, history)
     if done:
         return StationaryResult(pi=v, iterations=1, residual=history[-1])
-    period = chain_period(matrix)
-    if period > 1:
+    if (period := chain_period(matrix)) > 1:
         raise PeriodicChainError(period, last_iterate=v, residual_history=history)
-    censored = _censor(matrix)
-    if censored is None or chain_period(censored[0]) > 1:
-        x, done = _power_iteration(matrix, v, tolerance, max_iterations - 1, history)
-    else:
-        q, single = censored
-        history = []
-        y, done = _power_iteration(q, np.full(q.shape[0], 1.0 / q.shape[0]),
-                                   tolerance, max_iterations, history)
-        x = _recover(matrix, single, y)
+    q, single = _censor(matrix)
+    history = []
+    y, done = _power_iteration(q, np.full(q.shape[0], 1.0 / q.shape[0]),
+                               tolerance, max_iterations, history)
+    # recovering an empty set would renormalise y and move its last bits
+    x = _recover(matrix, single, y) if single.any() else y
     if not done:
         raise ConvergenceError(
             f"power iteration did not reach tolerance {tolerance:g} within "

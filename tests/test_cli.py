@@ -74,6 +74,33 @@ def test_stationary_csv_quotes_labels(tmp_path):
     assert sum(float(r["pi"]) for r in rows) == pytest.approx(1.0)
 
 
+_QUOTED_LABELS = 'a,"b\tc\nc\ta,"b\nc\td"e\nd"e\ta,"b\n'
+
+
+@pytest.mark.parametrize("text, targets, expected", [
+    (_QUOTED_LABELS, '"a,""b"', ['a,"b']),
+    (_QUOTED_LABELS, ' d"e , "a,""b",', ['a,"b', 'd"e']),
+    (T4_TEXT, " p1 , p3 ,", ["p1", "p3"]),
+    (T4_TEXT, "p1,p3", ["p1", "p3"]),
+])
+def test_targets_flag_is_one_csv_record(tmp_path, text, targets, expected):
+    path = tmp_path / "g.tsv"
+    path.write_text(text)
+    assert main(["modify", str(path), "--strategy", "bias", "--bias-strength", "2",
+                 "--targets", targets, "--output-dir", str(tmp_path)]) == 0
+    meta = json.loads((tmp_path / "g.modified.tsv.meta.json").read_text())
+    assert meta["targets"] == expected
+
+
+@pytest.mark.parametrize("targets", ["c\nd\"e", 'a,"b'])
+def test_targets_flag_rejects_a_bad_record(tmp_path, capsys, targets):
+    path = tmp_path / "g.tsv"
+    path.write_text(_QUOTED_LABELS)
+    assert main(["modify", str(path), "--strategy", "bias", "--bias-strength", "2",
+                 "--targets", targets, "--output-dir", str(tmp_path)]) == 2
+    assert "error: --targets is not one CSV record" in capsys.readouterr().err
+
+
 def test_parse_error_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.tsv"
     bad.write_text("a\tb\tnot-a-number\n")
@@ -149,6 +176,32 @@ def test_overflowing_out_weight_exit_code(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "node 'a' has an out-weight too large to sum in float64" in err
     assert "RuntimeWarning" not in err
+
+
+# b's two in-links sum past float64; in the second graph one link alone
+# overflows once doubled
+_HUGE_IN_WEIGHT = "a\tb\t1e308\nc\tb\t1e308\nb\ta\nb\tc\na\tc\t1e307\nc\ta\t1e307\n"
+_HUGE_LINK = "a\tb\t1e308\nb\ta\nb\tc\nc\ta\n"
+_BUDGET_OVERFLOW = "weight budget overflows float64 at bias strength 2.0"
+
+
+@pytest.mark.parametrize("text, strategy, message", [
+    (_HUGE_IN_WEIGHT, ["bias"], _BUDGET_OVERFLOW),
+    (_HUGE_IN_WEIGHT, ["insert"], _BUDGET_OVERFLOW),
+    (_HUGE_IN_WEIGHT, ["combined", "--alpha", "0.5", "--seed", "1"], _BUDGET_OVERFLOW),
+    (_HUGE_LINK, ["bias"], "bias strength 2.0 overflows a link weight in float64"),
+])
+def test_overflowing_budget_exit_code(tmp_path, capsys, text, strategy, message):
+    path = tmp_path / "g.tsv"
+    path.write_text(text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["modify", str(path), "--targets", "b", "--bias-strength", "2",
+                     "--output-dir", str(tmp_path / "out"), "--strategy",
+                     *strategy]) == 2
+    err = capsys.readouterr().err
+    assert message in err
+    assert "Traceback" not in err and "RuntimeWarning" not in err
 
 
 def test_missing_file_exit_code(tmp_path, capsys):

@@ -278,7 +278,8 @@ def test_censored_solve_fixed_examples(make):
 
 
 @pytest.mark.parametrize("make, kept, period", [
-    # the censored chain is periodic, so the full chain is solved instead
+    # censored to {0, 1, 2} the chain would have period 2, so nothing is
+    # censored and the full chain comes back
     (_censored_periodic_graph, [0, 1, 2], 2),
     # the censored chain is solved and 12 pages are recovered
     (_deep_chain_graph, [0, 1, 2], 1),
@@ -286,13 +287,44 @@ def test_censored_solve_fixed_examples(make):
 def test_censored_chain_of_fixed_examples(make, kept, period):
     p = transition_matrix(make())
     assert chain_period(p.entries) == 1
+    out_links = np.bincount(p.entries.indices, minlength=p.n)
+    assert np.flatnonzero(out_links > 1).tolist() == kept
     q, single = surfer._censor(p.entries)
-    assert np.flatnonzero(~single).tolist() == kept
-    assert chain_period(q) == period
+    if period > 1:
+        assert q is p.entries
+        assert not single.any()
+    else:
+        assert np.flatnonzero(~single).tolist() == kept
+        assert chain_period(q) == period
 
 
 def test_nothing_is_left_to_censor_on_a_cycle():
-    assert surfer._censor(transition_matrix(_pure_cycle_graph()).entries) is None
+    p = transition_matrix(_pure_cycle_graph())
+    q, single = surfer._censor(p.entries)
+    assert q is p.entries
+    assert single.shape == (p.n,) and not single.any()
+
+
+def _multi_link_graph():
+    # every page has at least two out-links, so no page can be censored
+    return random_scc_graph(np.random.default_rng(3), 6, extra=18)
+
+
+@pytest.mark.parametrize("make", [_multi_link_graph, _censored_periodic_graph])
+def test_uncensored_solve_is_the_plain_power_iteration(make):
+    p = transition_matrix(make())
+    history = []
+    x, done = surfer._power_iteration(
+        p.entries, np.full(p.n, 1.0 / p.n), surfer.DEFAULT_TOLERANCE,
+        surfer.DEFAULT_MAX_ITERATIONS, history)
+    assert done
+    # renormalising x moves its last bits, so recovering an empty set of
+    # censored pages would show here
+    assert not np.array_equal(x, x / x.sum())
+    res = stationary(p)
+    assert res.pi.tobytes() == x.tobytes()
+    assert res.iterations == len(history)
+    assert res.residual == history[-1]
 
 
 def test_certificate_rejects_a_wrong_vector(t4, monkeypatch):
