@@ -146,9 +146,7 @@ def _resolve_targets(args, g: WeightedDigraph, seed: int) -> TargetSet:
             raise ValidationError(
                 f"target {lab!r} is not in the graph used for analysis "
                 "(it may lie outside the largest strongly connected component)")
-    members = sorted({index[lab] for lab in labels})
-    return TargetSet(members=tuple(members), phi=len(members) / g.n,
-                     sample_id=0, seed=seed)
+    return TargetSet(members=tuple(sorted({index[lab] for lab in labels})), sample_id=0)
 
 
 def cmd_modify(args) -> int:
@@ -320,7 +318,7 @@ def cmd_lorenz(args) -> int:
 def _add_common(parser: argparse.ArgumentParser, tolerance_default=DEFAULT_TOLERANCE,
                 max_iter_default=DEFAULT_MAX_ITERATIONS) -> None:
     parser.add_argument("--tolerance", type=float, default=tolerance_default,
-                        help="L1 convergence tolerance for power iteration")
+                        help="finite, positive L1 tolerance for power iteration")
     parser.add_argument("--max-iterations", type=int, default=max_iter_default,
                         help="iteration budget before giving up")
     parser.add_argument("--strict", action="store_true",
@@ -388,8 +386,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=sorted(_MODE_STRENGTHS),
                    help="preset bias-strength grid (2..15 or up to 200)")
     p.add_argument("--workers", type=int, default=1,
-                   help="worker processes (output bytes are identical for any "
-                        "worker count)")
+                   help="worker processes, at most one per run and per CPU "
+                        "(output bytes are identical for any worker count)")
     p.add_argument("--format", choices=("csv", "json-lines"), default="csv")
     p.add_argument("--timing", action="store_true",
                    help="fill the wall_time_ms column (non-reproducible bytes)")

@@ -14,6 +14,7 @@ import hashlib
 import json
 import logging
 import math
+import os
 import time
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
@@ -170,9 +171,9 @@ def run_single_detailed(
     """Execute one full pipeline run: modify, solve, measure.
 
     ``baseline`` lets sweeps share the unmodified stationary solve; it must
-    belong to ``g``. ``phi`` overrides the recorded fraction with the
-    requested grid value. Returns the record plus the modified graph for
-    callers that want to export it.
+    belong to ``g``. The record's phi is ``phi``, the requested grid value,
+    or else the realized fraction ``len(members) / g.n``. Returns the
+    record plus the modified graph for callers that want to export it.
     """
     t = target_vector(target_set, g.n)
     if baseline is None:
@@ -185,7 +186,7 @@ def run_single_detailed(
     record = RunRecord(
         graph_id=graph_id,
         strategy=spec.strategy.value,
-        phi=target_set.phi if phi is None else phi,
+        phi=len(target_set.members) / g.n if phi is None else phi,
         sample_id=target_set.sample_id,
         b=float(spec.bias_strength),
         alpha=spec.alpha,
@@ -301,7 +302,8 @@ def sweep(g: WeightedDigraph, config: SweepConfig, workers: int = 1) -> SweepRes
     """Run the full experiment grid; returns records plus failure manifest.
 
     Output is identical for any ``workers`` value: substream seeds depend
-    only on run keys and results are gathered in enumeration order.
+    only on run keys and results are gathered in enumeration order. No more
+    processes start than there are runs or CPUs.
     """
     if workers < 1:
         raise ValidationError("workers must be at least 1")
@@ -309,6 +311,8 @@ def sweep(g: WeightedDigraph, config: SweepConfig, workers: int = 1) -> SweepRes
                           config.max_iterations)
     tasks = _enumerate_tasks(g, config)
     context = _SweepContext(g, baseline, config)
+    # a fork-based pool starts all its workers at the first submit
+    workers = min(workers, len(tasks), os.cpu_count() or 1)
     if workers == 1:
         outcomes = map(context.run, tasks)
     else:

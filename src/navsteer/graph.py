@@ -32,7 +32,9 @@ class WeightedDigraph:
     ``adjacency`` is a CSC matrix so a node's out-links (one column) are
     retrievable in time proportional to its out-degree. Stored weights are
     strictly positive and the diagonal is empty (no self-loops). A graph
-    built without ``node_labels`` labels each node by its index.
+    built without ``node_labels`` labels each node by its index. The graph
+    fixes the matrix's form, so no caller has to: canonical (duplicates
+    summed, indices sorted), with int32 index arrays whenever they fit.
     """
 
     n: int
@@ -44,6 +46,12 @@ class WeightedDigraph:
         if a.shape != (self.n, self.n):
             raise ValidationError(
                 f"adjacency shape {a.shape} does not match n={self.n}")
+        index = np.int32 if max(a.nnz, self.n) <= np.iinfo(np.int32).max else np.int64
+        if a.indices.dtype != index:  # scipy keeps indptr of the same type
+            a = csc_array((a.data, a.indices.astype(index), a.indptr.astype(index)),
+                          shape=a.shape)
+            object.__setattr__(self, "adjacency", a)
+        a.sum_duplicates()
         if self.node_labels is None:
             object.__setattr__(self, "node_labels",
                                tuple(map(str, range(self.n))))
@@ -84,10 +92,9 @@ class WeightedDigraph:
             logger.warning("dropped %d self-loop link(s)", dropped)
             keep = ~loops
             src, dst, w = src[keep], dst[keep], w[keep]
+        # converting to CSC sums duplicate links
         adj = coo_array((w, (dst, src)), shape=(n, n)).tocsc()
-        adj.sum_duplicates()
         adj.eliminate_zeros()
-        adj.sort_indices()
         return cls(n=n, adjacency=adj, node_labels=node_labels)
 
     def out_weights(self) -> np.ndarray:
@@ -247,6 +254,8 @@ def write_edge_list(
 
     The sidecar (``<path>.meta.json``) records the package version, node
     count, total weight and any provenance entries passed by the caller.
+    A graph whose total weight overflows float64 raises
+    :class:`ValidationError` before any file is opened.
 
     Loading the written file gives back the same labels, links and weights;
     nodes without links cannot be written and are left out with a warning.
@@ -255,6 +264,11 @@ def write_edge_list(
     graph loaded from a file without self-loop or zero-weight lines.
     """
     path = Path(path)
+    with np.errstate(over="ignore"):
+        total = g.total_weight()
+    if not math.isfinite(total):
+        raise ValidationError(
+            f"cannot write {path}: total link weight overflows float64")
     a = g.adjacency
     src, dst = column_of_entries(a), a.indices
     order = _write_order(g.n, src, dst)
@@ -266,7 +280,7 @@ def write_edge_list(
     write_json(Path(str(path) + METADATA_SUFFIX), {
         "nodes": g.n,
         "links": g.edge_count(),
-        "total_weight": g.total_weight(),
+        "total_weight": total,
         **(metadata or {}),
     })
     return path
@@ -289,8 +303,7 @@ def largest_scc(g: WeightedDigraph) -> tuple[WeightedDigraph, np.ndarray]:
     # the first node in a largest component is the lowest-indexed one
     best = labels[np.argmax(np.bincount(labels)[labels])]
     keep = np.flatnonzero(labels == best)
-    sub = g.adjacency.tocsr()[keep, :][:, keep].tocsc()
-    sub.sort_indices()
+    sub = g.adjacency[:, keep][keep]
     sub_labels = tuple(g.node_labels[i] for i in keep)
     return WeightedDigraph(n=len(keep), adjacency=sub, node_labels=sub_labels), keep
 

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import coo_array, csc_array
+from scipy.sparse import coo_array
 
 from .errors import EmptySupportError, ValidationError
 from .graph import WeightedDigraph, column_of_entries
@@ -174,8 +174,8 @@ def insert_links(
     n_sources = min(-(-budget_count // k_t), g.n)
     sources = np.argsort(-pi, kind="stable")[:n_sources]
 
-    src = np.repeat(sources, k_t).astype(np.int64)
-    dst = np.tile(tgt_order, n_sources).astype(np.int64)
+    src = np.repeat(sources, k_t)
+    dst = np.tile(tgt_order, n_sources)
     off_diagonal = src != dst
     src, dst = src[off_diagonal], dst[off_diagonal]
     if src.size == 0:
@@ -192,17 +192,16 @@ def insert_links(
     src, dst, added = src[hit], dst[hit], added[hit]
 
     addition = coo_array((added, (dst, src)), shape=(g.n, g.n)).tocsc()
-    new_adj = csc_array(g.adjacency + addition)
-    new_adj.sort_indices()
+    modified = g.with_adjacency(g.adjacency + addition)
 
     # a placement is parallel unless it is the first on a pair that was not
     # stored before; weights stay positive, so those pairs are the new nnz
     budget = LinkBudget(
         inserted_count=budget_count,
         biased_weight=0.0,
-        parallel_inserted=budget_count - (new_adj.nnz - g.adjacency.nnz),
+        parallel_inserted=budget_count - (modified.edge_count() - g.edge_count()),
     )
-    return g.with_adjacency(new_adj), budget
+    return modified, budget
 
 
 def _eligible_entries(

@@ -86,11 +86,9 @@ def transition_matrix(g: WeightedDigraph) -> TransitionMatrix:
         raise ValidationError(f"node {g.node_labels[overflow[0]]!r} has an "
                               "out-weight too large to sum in float64")
     a = g.adjacency
-    # int32 indices whenever they fit, as scipy keeps a graph's int64 ones:
-    # the period check, the censored chain and every power step take P's type
-    index = np.int32 if a.nnz < np.iinfo(np.int32).max else np.int64
-    scaled = csc_array((a.data / out[column_of_entries(a)], a.indices.astype(index),
-                        a.indptr.astype(index)), shape=a.shape)
+    # P keeps the graph's index type, and the whole solve takes P's
+    scaled = csc_array((a.data / out[column_of_entries(a)], a.indices, a.indptr),
+                       shape=a.shape)
     return TransitionMatrix(n=g.n, entries=csr_array(scaled))
 
 
@@ -212,8 +210,8 @@ def stationary(
     Non-convergence raises :class:`ConvergenceError` carrying the last
     iterate over all pages and the iterated chain's residual history.
     """
-    if tolerance <= 0:
-        raise ValidationError("tolerance must be positive")
+    if not 0 < tolerance < np.inf:  # also rejects nan
+        raise ValidationError(f"tolerance must be finite and positive, got {tolerance}")
     if max_iterations < 1:
         raise ValidationError("max_iterations must be at least 1")
     matrix = p.entries

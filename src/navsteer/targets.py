@@ -19,17 +19,11 @@ _TARGET_STREAM = "targets"
 
 @dataclass(frozen=True)
 class TargetSet:
-    """A sampled set of target nodes.
-
-    ``phi`` stores the realized fraction ``len(members) / n`` (the requested
-    fraction is rounded to a whole set size first). ``seed`` is the exact
-    substream seed used, kept for replay.
-    """
+    """Target nodes (sorted unique indices) and the sample they were drawn
+    as, 0 for a named set. The realized fraction is ``len(members) / n``."""
 
     members: tuple[int, ...]
-    phi: float
     sample_id: int
-    seed: int
 
     def __post_init__(self):
         if len(self.members) == 0:
@@ -45,47 +39,29 @@ def target_set_size(phi: float, n: int) -> int:
     return max(1, round_half_up(phi * n))
 
 
-def sample_targets(
-    g: WeightedDigraph,
-    phi: float,
-    rng: np.random.Generator,
-    *,
-    sample_id: int = 0,
-    seed: int = 0,
-) -> TargetSet:
-    """Sample targets uniformly without replacement.
-
-    ``rng`` must be a seeded generator; ``seed`` is recorded on the result
-    for provenance and should be the value used to create ``rng`` (see
-    :func:`sample_target_sets` for the derivation used in sweeps).
-    """
-    if g.n == 0:
-        raise EmptyGraphError("cannot sample targets from an empty graph")
-    size = target_set_size(phi, g.n)
-    members = np.sort(rng.choice(g.n, size=size, replace=False))
-    return TargetSet(members=tuple(int(i) for i in members),
-                     phi=size / g.n, sample_id=sample_id, seed=seed)
-
-
 def sample_target_sets(
     g: WeightedDigraph,
     phi: float,
     n_samples: int,
     master_seed: int,
 ) -> list[TargetSet]:
-    """Draw ``n_samples`` independent target sets for one phi value.
+    """Draw ``n_samples`` target sets of :func:`target_set_size` nodes each,
+    uniformly without replacement, with sample ids 0, 1, ... in order.
 
-    Each sample gets its own substream seeded from
-    (master_seed, phi, sample_id), so sample k is identical no matter how
-    many samples are drawn, in what order, or on which worker.
+    Sample k draws from its own generator, seeded from (master_seed, phi,
+    k), so it is identical no matter how many samples are drawn, in what
+    order, or on which worker.
     """
     if n_samples < 1:
         raise ValidationError("n_samples must be at least 1")
+    if g.n == 0:
+        raise EmptyGraphError("cannot sample targets from an empty graph")
+    size = target_set_size(phi, g.n)
     sets = []
-    for sample_id in range(n_samples):
-        seed = derive_seed(master_seed, _TARGET_STREAM, float(phi), sample_id)
-        rng = np.random.default_rng(seed)
-        sets.append(sample_targets(g, phi, rng, sample_id=sample_id, seed=seed))
+    for k in range(n_samples):
+        seed = derive_seed(master_seed, _TARGET_STREAM, float(phi), k)
+        members = np.random.default_rng(seed).choice(g.n, size=size, replace=False)
+        sets.append(TargetSet(members=tuple(np.sort(members).tolist()), sample_id=k))
     return sets
 
 

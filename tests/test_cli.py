@@ -190,6 +190,10 @@ _BUDGET_OVERFLOW = "weight budget overflows float64 at bias strength 2.0"
     (_HUGE_IN_WEIGHT, ["insert"], _BUDGET_OVERFLOW),
     (_HUGE_IN_WEIGHT, ["combined", "--alpha", "0.5", "--seed", "1"], _BUDGET_OVERFLOW),
     (_HUGE_LINK, ["bias"], "bias strength 2.0 overflows a link weight in float64"),
+    # the modified graph's total weight passes float64, each out-weight does not
+    (_HUGE_LINK, ["insert"], "total link weight overflows float64"),
+    (_HUGE_LINK, ["combined", "--alpha", "0.5", "--seed", "1"],
+     "total link weight overflows float64"),
 ])
 def test_overflowing_budget_exit_code(tmp_path, capsys, text, strategy, message):
     path = tmp_path / "g.tsv"
@@ -202,6 +206,22 @@ def test_overflowing_budget_exit_code(tmp_path, capsys, text, strategy, message)
     err = capsys.readouterr().err
     assert message in err
     assert "Traceback" not in err and "RuntimeWarning" not in err
+    assert not (tmp_path / "out" / "g.modified.tsv").exists()
+
+
+@pytest.mark.parametrize("tolerance", ["inf", "nan"])
+@pytest.mark.parametrize("command", [
+    ["stationary", "-o", "{out}/pi.csv"],
+    ["sweep", "--strategies", "bias", "--phi-values", "0.25", "--bias-strengths", "2",
+     "--samples", "2", "--seed", "3", "--output-dir", "{out}"],
+])
+def test_tolerance_must_be_finite(tmp_path, t4_file, capsys, command, tolerance):
+    out = tmp_path / "out"
+    out.mkdir()
+    argv = [command[0], str(t4_file), *(a.format(out=out) for a in command[1:])]
+    assert main([*argv, "--tolerance", tolerance]) == 2
+    assert "tolerance must be finite and positive" in capsys.readouterr().err
+    assert not any(out.iterdir())
 
 
 def test_missing_file_exit_code(tmp_path, capsys):

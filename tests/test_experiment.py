@@ -28,7 +28,7 @@ from navsteer.targets import TargetSet
 
 from conftest import make_t4, read_crlf
 
-P1 = TargetSet(members=(0,), phi=0.25, sample_id=0, seed=0)
+P1 = TargetSet(members=(0,), sample_id=0)
 
 
 def bias_config(**overrides):
@@ -128,6 +128,49 @@ def test_sweep_worker_count_invariant(tmp_path, t4):
     a, b = tmp_path / "serial.csv", tmp_path / "parallel.csv"
     write_records_csv(serial.records, a)
     write_records_csv(parallel.records, b)
+    assert a.read_bytes() == b.read_bytes()
+
+
+class _InlinePool:
+    """Stands in for ProcessPoolExecutor: records ``max_workers`` and runs
+    tasks in this process, so no worker is ever started."""
+
+    started: list[int] = []
+
+    def __init__(self, max_workers, initializer, initargs):
+        self.started.append(max_workers)
+        initializer(*initargs)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        experiment._worker_context = None
+
+    def map(self, fn, tasks, chunksize):
+        return map(fn, tasks)
+
+
+@pytest.mark.parametrize("workers, cpus, started", [
+    (5000, 64, [3]),      # capped at the run count
+    (5000, 2, [2]),       # capped at the CPU count
+    (5000, None, []),     # unknown CPU count: one process, no pool
+    (2, 64, [2]),
+])
+def test_sweep_starts_no_more_workers_than_runs_or_cpus(
+        monkeypatch, tmp_path, t4, workers, cpus, started):
+    import concurrent.futures
+    import os
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InlinePool)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(_InlinePool, "started", [])
+    config = bias_config(samples_per_phi=3)          # 3 runs
+    result = sweep(t4, config, workers=workers)
+    assert _InlinePool.started == started
+    a, b = tmp_path / "serial.csv", tmp_path / "capped.csv"
+    write_records_csv(sweep(t4, config).records, a)
+    write_records_csv(result.records, b)
     assert a.read_bytes() == b.read_bytes()
 
 

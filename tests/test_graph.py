@@ -4,13 +4,21 @@ import logging
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.sparse import csc_array
 
 from navsteer import (
     EdgeListParseError,
     EmptyGraphError,
     WeightedDigraph,
     __version__,
+    click_bias,
+    combine,
+    insert_links,
     load_edge_list,
+    scale_free_graph,
+    stationary,
+    target_vector,
+    transition_matrix,
     write_edge_list,
 )
 from navsteer.graph import largest_scc
@@ -232,3 +240,45 @@ def test_scc_preserves_labels_and_weights(t4):
     assert sub.node_labels == t4.node_labels
     assert (sub.adjacency != t4.adjacency).nnz == 0
     assert kept.tolist() == [0, 1, 2, 3]
+
+
+def _unsorted_int64_adjacency():
+    # column 0 lists row 2 twice and before row 1
+    return csc_array((np.array([1.0, 2.0, 3.0, 4.0, 5.0]), np.array([2, 1, 2, 2, 0]),
+                      np.array([0, 3, 4, 5])), shape=(3, 3))
+
+
+def _built_graphs():
+    """One graph from every constructor and strategy that makes one."""
+    text = "a\tb\na\tb\t2\nb\tc\nc\ta\nc\tb\n"
+    loaded = load_edge_list(io.StringIO(text))
+    synth = scale_free_graph(200, seed=4)
+    t = target_vector([1, 5], synth.n)
+    pi = stationary(transition_matrix(synth)).pi
+    return {
+        "load_edge_list": loaded,
+        "from_edges": WeightedDigraph.from_edges(3, [0, 0, 1, 2], [1, 1, 2, 0]),
+        "largest_scc": largest_scc(load_edge_list(io.StringIO(text + "c\td\n")))[0],
+        "scale_free_graph": synth,
+        "click_bias": click_bias(synth, t, 3.0),
+        "insert_links": insert_links(synth, t, pi, 40)[0],
+        "combine": combine(synth, t, pi, 3.0, 0.5, np.random.default_rng(0))[0],
+        "constructor": WeightedDigraph(3, _unsorted_int64_adjacency()),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_built_graphs()))
+def test_every_graph_fixes_its_sparse_form(name):
+    g = _built_graphs()[name]
+    assert g.adjacency.indices.dtype == np.int32
+    assert g.adjacency.indptr.dtype == np.int32
+    assert g.adjacency.has_canonical_format
+    p = transition_matrix(g).entries
+    assert p.indices.dtype == np.int32 and p.indptr.dtype == np.int32
+
+
+def test_constructor_sums_duplicates_and_sorts():
+    a = WeightedDigraph(3, _unsorted_int64_adjacency()).adjacency
+    assert a.indices.tolist() == [1, 2, 2, 0]
+    assert a.indptr.tolist() == [0, 2, 3, 4]
+    assert a.data.tolist() == [2.0, 4.0, 4.0, 5.0]

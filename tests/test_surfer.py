@@ -150,6 +150,12 @@ def test_stationary_respects_max_iterations(t4):
     assert np.isclose(err.value.last_iterate.sum(), 1.0)
 
 
+@pytest.mark.parametrize("tolerance", [float("nan"), float("inf"), 0.0, -1.0])
+def test_stationary_rejects_a_tolerance_that_is_not_finite_and_positive(t4, tolerance):
+    with pytest.raises(ValidationError, match="tolerance must be finite and positive"):
+        stationary(transition_matrix(t4), tolerance=tolerance)
+
+
 def test_lorenz_toy_values(t4):
     res = stationary(transition_matrix(t4))
     curve = lorenz_curve(res.pi)

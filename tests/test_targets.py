@@ -8,7 +8,6 @@ from navsteer import (
     TargetSet,
     ValidationError,
     sample_target_sets,
-    sample_targets,
     target_set_size,
     target_vector,
     write_targets_csv,
@@ -42,21 +41,18 @@ def test_target_set_size_rejects_bad_phi(phi):
 
 def test_sample_targets_members_sorted_unique():
     g = make_t4()
-    rng = np.random.default_rng(0)
-    ts = sample_targets(g, 0.5, rng)
-    assert list(ts.members) == sorted(set(ts.members))
-    assert len(ts.members) == 2
-    assert all(0 <= i < 4 for i in ts.members)
-    assert ts.phi == 0.5
+    for ts in sample_target_sets(g, 0.5, 20, master_seed=0):
+        assert list(ts.members) == sorted(set(ts.members))
+        assert len(ts.members) == 2
+        assert all(0 <= i < 4 for i in ts.members)
 
 
 def test_sample_targets_realized_phi():
     rng = np.random.default_rng(1)
     g = random_scc_graph(rng, 7)
-    ts = sample_targets(g, 0.5, np.random.default_rng(2))
+    (ts,) = sample_target_sets(g, 0.5, 1, master_seed=2)
     # requested 0.5 of 7 nodes -> 4 members -> realized 4/7
     assert len(ts.members) == 4
-    assert ts.phi == pytest.approx(4 / 7)
 
 
 def test_sample_target_sets_deterministic():
@@ -65,9 +61,15 @@ def test_sample_target_sets_deterministic():
     b = sample_target_sets(g, 0.5, 5, master_seed=99)
     assert [x.members for x in a] == [y.members for y in b]
     assert [x.sample_id for x in a] == list(range(5))
-    assert [x.seed for x in a] == [y.seed for y in b]
     c = sample_target_sets(g, 0.5, 5, master_seed=100)
     assert [x.members for x in a] != [z.members for z in c]
+
+
+def test_sample_k_does_not_depend_on_the_sample_count():
+    g = random_scc_graph(np.random.default_rng(3), 12)
+    for phi in (0.1, 0.25, 0.5):
+        assert (sample_target_sets(g, phi, 3, master_seed=5)
+                == sample_target_sets(g, phi, 5, master_seed=5)[:3])
 
 
 def test_sampling_is_uniform():
@@ -83,16 +85,16 @@ def test_sampling_is_uniform():
 
 def test_target_set_validation():
     with pytest.raises(ValidationError):
-        TargetSet(members=(), phi=0.1, sample_id=0, seed=0)
+        TargetSet(members=(), sample_id=0)
     with pytest.raises(ValidationError):
-        TargetSet(members=(3, 1), phi=0.5, sample_id=0, seed=0)
+        TargetSet(members=(3, 1), sample_id=0)
     with pytest.raises(ValidationError):
-        TargetSet(members=(1, 1), phi=0.5, sample_id=0, seed=0)
+        TargetSet(members=(1, 1), sample_id=0)
 
 
 def test_target_vector_from_set_and_sequence():
     g = make_t4()
-    ts = TargetSet(members=(0, 3), phi=0.5, sample_id=0, seed=0)
+    ts = TargetSet(members=(0, 3), sample_id=0)
     v = target_vector(ts, 4)
     assert np.array_equal(v, [1.0, 0.0, 0.0, 1.0])
     assert np.array_equal(target_vector([1], 4), [0.0, 1.0, 0.0, 0.0])
