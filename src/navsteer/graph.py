@@ -10,6 +10,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
+from itertools import count
 from pathlib import Path
 from typing import IO, Iterable, Iterator
 
@@ -18,7 +19,7 @@ from scipy.sparse import coo_array, csc_array
 from scipy.sparse.csgraph import connected_components
 
 from .errors import EdgeListParseError, EmptyGraphError, ValidationError
-from .util import write_json
+from .util import blocks, write_json
 
 logger = logging.getLogger(__name__)
 
@@ -118,6 +119,13 @@ class WeightedDigraph:
         return WeightedDigraph(n=self.n, adjacency=adjacency,
                                node_labels=self.node_labels)
 
+    def with_weights(self, data: np.ndarray) -> "WeightedDigraph":
+        """This graph's links with new weights ``data``, in stored order."""
+        a = self.adjacency
+        adj = csc_array((data, a.indices, a.indptr), shape=a.shape)
+        adj.has_canonical_format = True  # the same links need no re-check
+        return self.with_adjacency(adj)
+
 
 def _as_array(values: Iterable, dtype) -> np.ndarray:
     return np.asarray(values if isinstance(values, np.ndarray) else list(values),
@@ -169,20 +177,51 @@ def load_edge_list(source: str | Path | IO[str]) -> WeightedDigraph:
     the 1-based line number.
     """
     index: dict[str, int] = {}
-    labels: list[str] = []
-    srcs: list[int] = []
-    dsts: list[int] = []
-    wts: list[float] = []
+    ids, weights = [np.empty(0, np.int64)], [np.empty(0)]
+    first = 1
+    for lines in blocks(read_lines(source)):
+        ends, w = _bulk_columns(lines) or _line_columns(lines, first)
+        first += len(lines)
+        # labels new to this block, in order of first appearance
+        fresh = [label for label in dict.fromkeys(ends) if label not in index]
+        index.update(zip(fresh, count(len(index))))
+        ids.append(np.fromiter(map(index.__getitem__, ends), np.int64, len(ends)))
+        weights.append(w)
+    ids = np.concatenate(ids)
+    return WeightedDigraph.from_edges(
+        n=len(index), sources=ids[0::2], destinations=ids[1::2],
+        weights=np.concatenate(weights), node_labels=tuple(index))
 
-    def node_id(label: str) -> int:
-        idx = index.get(label)
-        if idx is None:
-            idx = len(labels)
-            index[label] = idx
-            labels.append(label)
-        return idx
 
-    for lineno, raw in enumerate(read_lines(source), start=1):
+def _bulk_columns(lines: list[str]) -> tuple[list[str], np.ndarray] | None:
+    """Labels (source, destination, interleaved) and weights of a block of
+    lines, split in one pass; None, for :func:`_line_columns`, unless every
+    line has 2 or 3 fields and the block has no ``#``, ``\\r``, empty field,
+    whitespace-only label or bad weight."""
+    text = "".join(lines)
+    tabs = [line.count("\t") for line in lines]
+    if "#" in text or "\r" in text or not set(tabs) <= {1, 2}:
+        return None
+    if 1 in tabs:
+        text = "".join([line.rstrip("\n") + "\t1\n" if k == 1 else line
+                        for line, k in zip(lines, tabs)])
+    fields = text.replace("\n", "\t").split("\t")
+    del text, fields[3 * len(lines):]  # the field after a final \n
+    try:
+        w = np.fromiter(map(float, fields[2::3]), np.float64, len(lines))
+    except ValueError:
+        return None
+    # strip returns "" for an empty or whitespace-only field
+    if not (all(map(str.strip, fields)) and np.all(np.isfinite(w) & (w >= 0))):
+        return None
+    del fields[2::3]
+    return fields, w
+
+
+def _line_columns(lines: list[str], first: int) -> tuple[list[str], np.ndarray]:
+    """:func:`_bulk_columns` checked line by line from line number ``first``."""
+    ends, wts = [], []
+    for lineno, raw in enumerate(lines, start=first):
         line = raw.rstrip("\r\n")
         if not line.strip() or line.lstrip().startswith("#"):
             continue
@@ -191,9 +230,9 @@ def load_edge_list(source: str | Path | IO[str]) -> WeightedDigraph:
             raise EdgeListParseError(
                 f"expected 2 or 3 tab-separated fields, got {len(fields)}",
                 line_number=lineno)
-        src_label, dst_label = fields[0], fields[1]
-        if not src_label or not dst_label:
+        if not fields[0] or not fields[1]:
             raise EdgeListParseError("empty node identifier", line_number=lineno)
+        weight = 1.0
         if len(fields) == 3:
             try:
                 weight = float(fields[2])
@@ -206,15 +245,9 @@ def load_edge_list(source: str | Path | IO[str]) -> WeightedDigraph:
             if weight < 0:
                 raise EdgeListParseError(
                     f"weight {weight} is negative", line_number=lineno)
-        else:
-            weight = 1.0
-        srcs.append(node_id(src_label))
-        dsts.append(node_id(dst_label))
+        ends += fields[:2]
         wts.append(weight)
-
-    return WeightedDigraph.from_edges(
-        n=len(labels), sources=srcs, destinations=dsts, weights=wts,
-        node_labels=tuple(labels))
+    return ends, np.array(wts, dtype=np.float64)
 
 
 def _write_order(n: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
@@ -224,7 +257,8 @@ def _write_order(n: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
     The loader numbers nodes by first appearance, so node j first shows up
     either beside a smaller-indexed neighbour or as the source of a fresh
     pair j -> j+1. Sorting links by their larger endpoint, with such a pair
-    keyed to j instead, reproduces that order; ties sort by (src, dst).
+    keyed to j instead, reproduces that order; ties keep the (src, dst)
+    order of a canonical CSC matrix's links, which must be given so.
     """
     key = np.maximum(src, dst)
     has_smaller = np.zeros(n, dtype=bool)
@@ -237,12 +271,15 @@ def _write_order(n: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
         logger.warning(
             "%d node(s) without links cannot be represented in an edge list "
             "and were omitted: %s", linkless.size, linkless[:10].tolist())
-    return np.lexsort((dst, src, key))
+    return np.argsort(key, kind="stable")
 
 
-def _format_weight(w: float) -> str:
+def _format_weights(w: np.ndarray) -> Iterator[str]:
     # repr round-trips float64 exactly; integral weights print without ".0"
-    return str(int(w)) if w == int(w) and abs(w) < 2 ** 53 else repr(w)
+    if np.all(w < 2 ** 53) and np.array_equal(w, np.floor(w)):
+        return map(str, w.astype(np.int64).tolist())
+    return (str(int(x)) if x == int(x) and abs(x) < 2 ** 53 else repr(x)
+            for x in w.tolist())
 
 
 def write_edge_list(
@@ -273,9 +310,10 @@ def write_edge_list(
     src, dst = column_of_entries(a), a.indices
     order = _write_order(g.n, src, dst)
     labels = g.node_labels
-    src, dst, wts = src[order].tolist(), dst[order].tolist(), a.data[order].tolist()
+    src, dst = src[order].tolist(), dst[order].tolist()
+    wts = _format_weights(a.data[order])
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.writelines(f"{labels[s]}\t{labels[d]}\t{_format_weight(w)}\n"
+        fh.writelines(f"{labels[s]}\t{labels[d]}\t{w}\n"
                       for s, d, w in zip(src, dst, wts))
     write_json(Path(str(path) + METADATA_SUFFIX), {
         "nodes": g.n,

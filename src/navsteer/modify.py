@@ -139,10 +139,10 @@ def click_bias(g: WeightedDigraph, t: np.ndarray, b: float) -> WeightedDigraph:
     """
     check_bias_strength(b)
     mask = _target_mask(t, g.n)
-    scaled = g.adjacency.copy()
-    onto = mask[scaled.indices]
-    scaled.data[onto] = _bias(scaled.data[onto], b)
-    return g.with_adjacency(scaled)
+    data = g.adjacency.data.copy()
+    onto = mask[g.adjacency.indices]
+    data[onto] = _bias(data[onto], b)
+    return g.with_weights(data)
 
 
 def insert_links(
@@ -271,10 +271,10 @@ def combine(
     k = int(np.argmax(np.append(stops, True)))
     consumed = float(spent[k])
 
-    adj = g.adjacency.copy()
+    data = g.adjacency.data.copy()
     taken = pos[order[:k]]
-    adj.data[taken] = _bias(adj.data[taken], b)
-    partially_modified = g.with_adjacency(adj)
+    data[taken] = _bias(data[taken], b)
+    partially_modified = g.with_weights(data)
     insert_count = round_half_up(l_b - consumed)
     if insert_count >= 1:
         modified, ins = insert_links(partially_modified, t, pi, insert_count)

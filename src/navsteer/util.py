@@ -6,14 +6,17 @@ import csv
 import json
 import math
 import struct
+from itertools import islice, starmap
+from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from . import __version__
 
 _U64 = (1 << 64) - 1
+_BLOCK = 1 << 15  # lines or rows per bulk pass, so no input is held whole
 
 
 def round_half_up(x: float) -> int:
@@ -53,6 +56,30 @@ def format_value(x: float) -> str:
     return format(x, ".12g")
 
 
+def blocks(items: Iterable) -> Iterator[list]:
+    """Successive lists of up to ``_BLOCK`` items of an iterable."""
+    items = iter(items)
+    return iter(lambda: list(islice(items, _BLOCK)), [])
+
+
+def _row_template(rows: list[Sequence]) -> str | None:
+    """A template writing rows as ``csv.writer`` and :func:`format_value` do:
+    needs two or more cells (a lone empty cell is quoted), one exact type per
+    column (int, float or str) and no str that ``csv.writer`` quotes."""
+    width = len(rows[0])
+    if width < 2 or set(map(len, rows)) != {width}:
+        return None
+    fields = []
+    for j in range(width):
+        column = list(map(itemgetter(j), rows))
+        kinds = set(map(type, column))
+        text = "".join(column) if kinds == {str} else ""
+        if kinds not in ({int}, {float}, {str}) or any(c in text for c in ',"\r\n'):
+            return None
+        fields.append("{:.12g}" if kinds == {float} else "{}")
+    return ",".join(fields) + "\r\n"
+
+
 def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
     """Write a report CSV (RFC 4180, UTF-8, CRLF line ends).
 
@@ -62,8 +89,13 @@ def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence])
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        writer.writerows([format_value(v) if isinstance(v, float) else v
-                          for v in row] for row in rows)
+        for block in blocks(rows):
+            template = _row_template(block)
+            if template is not None:
+                fh.writelines(starmap(template.format, block))
+            else:
+                writer.writerows([format_value(v) if isinstance(v, float) else v
+                                  for v in row] for row in block)
 
 
 def write_json(path: str | Path, payload: dict) -> None:

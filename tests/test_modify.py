@@ -463,6 +463,42 @@ def test_combine_budget_conservation():
         assert budget.biased_weight + budget.inserted_count == pytest.approx(realized)
 
 
+@pytest.mark.parametrize("spec", [
+    ModificationSpec(strategy=Strategy.CLICK_BIAS, bias_strength=3.0),
+    ModificationSpec(strategy=Strategy.COMBINED, bias_strength=3.0, alpha=0.5,
+                     seed=2),
+])
+def test_reweighting_keeps_links_and_results(monkeypatch, spec):
+    # bias changes weights only: the result shares the input's links, marked
+    # canonical, and solves and records equal those of a re-checked copy
+    import dataclasses
+
+    from navsteer import WeightedDigraph, sample_target_sets, synth
+    from navsteer.experiment import run_single_detailed
+
+    g = synth.scale_free_graph(3000, seed=4)
+    ts = sample_target_sets(g, 0.05, 1, 9)[0]
+    t = np.zeros(g.n)
+    t[list(ts.members)] = 1.0
+    biased = click_bias(g, t, 3.0)
+    assert biased.adjacency.has_canonical_format
+    assert np.array_equal(biased.adjacency.indices, g.adjacency.indices)
+    assert np.array_equal(biased.adjacency.indptr, g.adjacency.indptr)
+
+    record, modified = run_single_detailed(g, ts, spec)
+
+    def rechecked(self, data):
+        a = self.adjacency
+        return self.with_adjacency(csc_array(
+            (data, a.indices.copy(), a.indptr.copy()), shape=a.shape))
+
+    monkeypatch.setattr(WeightedDigraph, "with_weights", rechecked)
+    again, remodified = run_single_detailed(g, ts, spec)
+    assert (dataclasses.replace(record, wall_time_ms=0.0)
+            == dataclasses.replace(again, wall_time_ms=0.0))
+    assert np.array_equal(solve(modified), solve(remodified))
+
+
 # ------------------------------------------------------------- dispatcher
 
 def test_apply_modification_dispatch(t4):
