@@ -167,26 +167,28 @@ def read_lines(source: str | Path | IO[str]) -> Iterator[str]:
 def load_edge_list(source: str | Path | IO[str]) -> WeightedDigraph:
     """Parse a tab-separated edge list into a :class:`WeightedDigraph`.
 
-    Each data line is ``source<TAB>destination[<TAB>weight]`` with weight
-    defaulting to 1.0. Lines whose first non-blank character is ``#`` and
-    blank lines are skipped. Node identifiers are arbitrary strings and are
-    assigned dense indices in order of first appearance. Parallel links are
-    summed; self-loops are dropped with a counted warning. Files are read
-    as UTF-8, ignoring a leading byte-order mark. Malformed lines, and
-    lines that are not UTF-8, raise :class:`EdgeListParseError` carrying
-    the 1-based line number.
+    A data line is ``source<TAB>destination[<TAB>weight]`` ending in LF or
+    CRLF. Blank lines are skipped, and so are lines whose first non-blank
+    character is ``#`` (``a#1`` is a label). Labels are non-empty, keep their
+    spaces and are numbered in order of first appearance. A weight is what
+    Python's ``float`` reads (``2.5``, ``1e-3``, ``" 2 "``), finite and >= 0,
+    1.0 if absent. Parallel links are summed; self-loops are dropped with a
+    counted warning. Input is UTF-8, a leading byte-order mark ignored. Bad
+    lines, and lines that are not UTF-8, raise :class:`EdgeListParseError`
+    carrying the 1-based line number.
     """
     index: dict[str, int] = {}
     ids, weights = [np.empty(0, np.int64)], [np.empty(0)]
     first = 1
     for lines in blocks(read_lines(source)):
-        ends, w = _bulk_columns(lines) or _line_columns(lines, first)
+        ends, w = _bulk_columns(lines) or _raise_first_error(lines, first)
         first += len(lines)
         # labels new to this block, in order of first appearance
         fresh = [label for label in dict.fromkeys(ends) if label not in index]
         index.update(zip(fresh, count(len(index))))
         ids.append(np.fromiter(map(index.__getitem__, ends), np.int64, len(ends)))
         weights.append(w)
+        del lines, ends  # so the next block is built without this one
     ids = np.concatenate(ids)
     return WeightedDigraph.from_edges(
         n=len(index), sources=ids[0::2], destinations=ids[1::2],
@@ -195,12 +197,17 @@ def load_edge_list(source: str | Path | IO[str]) -> WeightedDigraph:
 
 def _bulk_columns(lines: list[str]) -> tuple[list[str], np.ndarray] | None:
     """Labels (source, destination, interleaved) and weights of a block of
-    lines, split in one pass; None, for :func:`_line_columns`, unless every
-    line has 2 or 3 fields and the block has no ``#``, ``\\r``, empty field,
-    whitespace-only label or bad weight."""
+    lines, split in one pass after dropping blank and comment lines and
+    cutting CR line ends if a cheap test finds any; None if the block holds
+    a bad line."""
     text = "".join(lines)
+    if "#" in text or "\r" in text or not all(map(str.strip, lines)):
+        lines = [line.rstrip("\r\n") + "\n" if "\r" in line else line
+                 for line in lines
+                 if line.strip() and not line.lstrip().startswith("#")]
+        text = "".join(lines)
     tabs = [line.count("\t") for line in lines]
-    if "#" in text or "\r" in text or not set(tabs) <= {1, 2}:
+    if not set(tabs) <= {1, 2}:
         return None
     if 1 in tabs:
         text = "".join([line.rstrip("\n") + "\t1\n" if k == 1 else line
@@ -211,16 +218,15 @@ def _bulk_columns(lines: list[str]) -> tuple[list[str], np.ndarray] | None:
         w = np.fromiter(map(float, fields[2::3]), np.float64, len(lines))
     except ValueError:
         return None
-    # strip returns "" for an empty or whitespace-only field
-    if not (all(map(str.strip, fields)) and np.all(np.isfinite(w) & (w >= 0))):
+    if "" in fields or not np.all(np.isfinite(w) & (w >= 0)):
         return None
     del fields[2::3]
     return fields, w
 
 
-def _line_columns(lines: list[str], first: int) -> tuple[list[str], np.ndarray]:
-    """:func:`_bulk_columns` checked line by line from line number ``first``."""
-    ends, wts = [], []
+def _raise_first_error(lines: list[str], first: int) -> None:
+    """Raise :class:`EdgeListParseError` for the first bad line of a block
+    that :func:`_bulk_columns` rejected, numbering lines from ``first``."""
     for lineno, raw in enumerate(lines, start=first):
         line = raw.rstrip("\r\n")
         if not line.strip() or line.lstrip().startswith("#"):
@@ -232,22 +238,17 @@ def _line_columns(lines: list[str], first: int) -> tuple[list[str], np.ndarray]:
                 line_number=lineno)
         if not fields[0] or not fields[1]:
             raise EdgeListParseError("empty node identifier", line_number=lineno)
-        weight = 1.0
-        if len(fields) == 3:
-            try:
-                weight = float(fields[2])
-            except ValueError:
-                raise EdgeListParseError(
-                    f"weight {fields[2]!r} is not a number", line_number=lineno)
-            if not math.isfinite(weight):
-                raise EdgeListParseError(
-                    f"weight {fields[2]!r} is not finite", line_number=lineno)
-            if weight < 0:
-                raise EdgeListParseError(
-                    f"weight {weight} is negative", line_number=lineno)
-        ends += fields[:2]
-        wts.append(weight)
-    return ends, np.array(wts, dtype=np.float64)
+        try:
+            weight = float(fields[2]) if len(fields) == 3 else 1.0
+        except ValueError:
+            raise EdgeListParseError(
+                f"weight {fields[2]!r} is not a number", line_number=lineno)
+        if not math.isfinite(weight):
+            raise EdgeListParseError(
+                f"weight {fields[2]!r} is not finite", line_number=lineno)
+        if weight < 0:
+            raise EdgeListParseError(
+                f"weight {weight} is negative", line_number=lineno)
 
 
 def _write_order(n: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import ValidationError
@@ -24,10 +26,12 @@ def scale_free_graph(
     """
     if n < 2:
         raise ValidationError("synthetic graph needs at least 2 nodes")
-    if avg_degree < 1.0:
-        raise ValidationError("avg_degree must be at least 1")
-    if exponent <= 1.0:
+    if not (math.isfinite(avg_degree) and avg_degree >= 1.0):
+        raise ValidationError("avg_degree must be finite and at least 1")
+    if not exponent > 1.0:  # nan fails too; inf means uniform popularity
         raise ValidationError("exponent must exceed 1")
+    if seed < 0:
+        raise ValidationError("seed must be non-negative")
     rng = np.random.default_rng(seed)
 
     base = np.arange(1, n + 1, dtype=np.float64) ** (-1.0 / (exponent - 1.0))

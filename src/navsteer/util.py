@@ -71,10 +71,13 @@ def _row_template(rows: list[Sequence]) -> str | None:
         return None
     fields = []
     for j in range(width):
-        column = list(map(itemgetter(j), rows))
-        kinds = set(map(type, column))
-        text = "".join(column) if kinds == {str} else ""
-        if kinds not in ({int}, {float}, {str}) or any(c in text for c in ',"\r\n'):
+        cell = itemgetter(j)
+        kinds = set(map(type, map(cell, rows)))
+        # joined 4096 rows at a time, so no column is held whole
+        texts = ("".join(map(cell, rows[k:k + 4096]))
+                 for k in range(0, len(rows), 4096))
+        if kinds not in ({int}, {float}, {str}) or kinds == {str} and any(
+                c in text for text in texts for c in ',"\r\n'):
             return None
         fields.append("{:.12g}" if kinds == {float} else "{}")
     return ",".join(fields) + "\r\n"
@@ -96,6 +99,7 @@ def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence])
             else:
                 writer.writerows([format_value(v) if isinstance(v, float) else v
                                   for v in row] for row in block)
+            del block  # so the next block is built without this one
 
 
 def write_json(path: str | Path, payload: dict) -> None:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from navsteer import ValidationError, stationary, transition_matrix
+from navsteer.cli import main
 from navsteer.graph import largest_scc
 from navsteer.synth import scale_free_graph
 
@@ -64,7 +65,29 @@ def test_in_weight_is_heavy_tailed():
     {"n": 1},
     {"n": 10, "avg_degree": 0.5},
     {"n": 10, "exponent": 1.0},
+    {"n": 10, "avg_degree": float("nan")},
+    {"n": 10, "avg_degree": float("inf")},
+    {"n": 10, "exponent": float("nan")},
+    {"n": 10, "seed": -1},
 ])
 def test_parameter_validation(kwargs):
     with pytest.raises(ValidationError):
         scale_free_graph(**kwargs)
+
+
+def test_infinite_exponent_means_uniform_popularity():
+    g = scale_free_graph(50, seed=0, exponent=float("inf"))
+    assert g.n == 50
+
+
+@pytest.mark.parametrize("option", [
+    ["--seed", "-1"],
+    ["--avg-degree", "nan"],
+    ["--avg-degree", "inf"],
+    ["--exponent", "nan"],
+])
+def test_cli_rejects_bad_parameters_without_writing(tmp_path, capsys, option):
+    out = tmp_path / "out.tsv"
+    assert main(["synth", str(out), "-n", "50", *option]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
