@@ -172,7 +172,7 @@ def insert_links(
     tgt_order = tgt_idx[np.argsort(-pi[tgt_idx], kind="stable")]
     k_t = len(tgt_order)
     n_sources = min(-(-budget_count // k_t), g.n)
-    sources = np.argsort(-pi, kind="stable")[:n_sources]
+    sources = _top(pi, n_sources)
 
     src = np.repeat(sources, k_t)
     dst = np.tile(tgt_order, n_sources)
@@ -202,6 +202,17 @@ def insert_links(
         parallel_inserted=budget_count - (modified.edge_count() - g.edge_count()),
     )
     return modified, budget
+
+
+def _top(pi: np.ndarray, k: int) -> np.ndarray:
+    """The ``k`` pages of highest ``pi``, highest first, ties toward the
+    lower index: ``np.argsort(-pi, kind="stable")[:k]`` in O(n)."""
+    if k >= pi.size:
+        return np.argsort(-pi, kind="stable")
+    kth = np.partition(pi, pi.size - k)[pi.size - k]      # the k-th largest
+    above = np.flatnonzero(pi > kth)
+    candidates = np.concatenate((above, np.flatnonzero(pi == kth)[:k - above.size]))
+    return candidates[np.lexsort((candidates, -pi[candidates]))]
 
 
 def _eligible_entries(

@@ -9,7 +9,7 @@ check, instead of being smoothed over or iterated to the budget.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.sparse import csc_array, csr_array
@@ -58,6 +58,7 @@ class StationaryResult:
     pi: np.ndarray
     iterations: int
     residual: float
+    plan: SolvePlan | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if abs(float(self.pi.sum()) - 1.0) > 1e-12:
@@ -135,77 +136,184 @@ def _power_iteration(matrix, v, tolerance, steps, history):
     return v, False
 
 
-def _censor(matrix):
-    """``(Q, single)``: the chain censored to the pages with more than one
-    out-link, and the mask of the pages censored out.
+@dataclass(frozen=True, eq=False)
+class SolvePlan:
+    """The part of a solve that depends only on which links exist.
+
+    A plan is built for a chain that passed the period checks on P and on
+    the censored chain Q, and it holds:
+
+    - P's ``indptr`` and ``indices``, the links it was built for;
+    - ``single``, the mask of the pages censored out;
+    - Q's ``q_indptr`` and ``q_indices``, and how Q's data is summed from
+      P's: entry k of Q starts as P's entry ``q_first[k]``, then each
+      ``(q_entries, p_entries)`` pair of ``q_more`` adds one more of P's
+      entries to some of Q's, in the order scipy sums duplicate links;
+    - ``levels``, the censored pages by their number of links to the first
+      page of S, farthest first, so each level needs only pages already
+      recovered; a level is ``(pages, entries, sources, row_ptr)``, its
+      rows of P as a CSR structure over P's ``entries``.
+
+    When nothing is censored, ``single`` is all False, Q is P itself and
+    the Q fields are None.
+    """
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    single: np.ndarray
+    q_indptr: np.ndarray | None = None
+    q_indices: np.ndarray | None = None
+    q_first: np.ndarray | None = None
+    q_more: tuple[tuple[np.ndarray, np.ndarray], ...] = ()
+    levels: tuple[tuple[np.ndarray, ...], ...] = ()
+
+    def fits(self, matrix) -> bool:
+        """Whether ``matrix`` has exactly the links this plan was built for."""
+        return (np.array_equal(self.indptr, matrix.indptr)
+                and np.array_equal(self.indices, matrix.indices))
+
+
+def _censor(matrix) -> SolvePlan:
+    """Plan of the chain censored to the pages with more than one out-link.
 
     A page e with a single out-link passes all its mass on, so its mass
     lands on ``jump(e)``, the first other page on its successor path. Q
     moves each link's target to its jump and keeps the other pages S; its
     stationary vector is pi restricted to S, renormalised (Meyer, SIAM
-    Review 31(2), 1989). Nothing is censored (Q is ``matrix`` itself and
-    ``single`` all False) when no page has a single out-link, when such
-    pages close a loop, or when Q would be periodic.
+    Review 31(2), 1989). Nothing is censored when no page has a single
+    out-link, when such pages close a loop, or when Q would be periodic.
     """
     n = matrix.shape[0]
+    itype = matrix.indices.dtype
     single = np.bincount(matrix.indices, minlength=n) == 1
+    uncensored = SolvePlan(matrix.indptr, matrix.indices, np.zeros(n, dtype=bool))
     if not single.any():
-        return matrix, single
+        return uncensored
     entry = np.flatnonzero(single[matrix.indices])
-    jump = np.arange(n)
+    jump = np.arange(n, dtype=itype)
     jump[matrix.indices[entry]] = np.searchsorted(matrix.indptr, entry, side="right") - 1
-    # pointer doubling: after k rounds jump(e) is 2^k links down the path
+    # pointer doubling: after k rounds jump(e) is 2^k links down the path,
+    # and depth(e) counts the links from e to jump(e)
+    depth = single.astype(itype)
     for _ in range(n.bit_length()):
         if not single[jump].any():
             break
+        depth += depth[jump]
         jump = jump[jump]
     if single[jump].any():
-        return matrix, np.zeros(n, dtype=bool)
-    # Q in one step: each stored link keeps its weight, its target moves
-    # to the target's jump, and links out of censored pages are dropped
+        return uncensored
+    q = _sum_order(matrix, single, jump)
+    if q is None:
+        return uncensored
+    return SolvePlan(matrix.indptr, matrix.indices, single, *q,
+                     levels=_levels(matrix, single, depth))
+
+
+def _sum_order(matrix, single, jump):
+    """``(q_indptr, q_indices, q_first, q_more)`` of a :class:`SolvePlan`,
+    or None when Q is periodic.
+
+    Each stored link keeps its weight, its target moves to the target's
+    jump, and links out of censored pages are dropped.
+    csr_array((data, (rows, cols))) buckets those links by row, keeping
+    their order, sorts each row with csr_sort_indices and sums equal
+    (row, col) links from left to right. That sort compares columns only,
+    so the order it leaves ties in depends on the links alone: sorting the
+    links' numbers through the same call records it.
+    """
+    itype = matrix.indices.dtype
     kept = ~single
-    position = np.cumsum(kept, dtype=matrix.indices.dtype) - 1
-    links = kept[matrix.indices]
+    m = int(np.count_nonzero(kept))
+    position = np.cumsum(kept, dtype=itype) - 1
+    links = np.flatnonzero(kept[matrix.indices]).astype(itype)
     rows = np.repeat(position[jump], np.diff(matrix.indptr))[links]
-    cols = position[matrix.indices[links]]
-    m = np.count_nonzero(kept)
-    q = csr_array((matrix.data[links], (rows, cols)), shape=(m, m))
-    if chain_period(q) > 1:
-        return matrix, np.zeros(n, dtype=bool)
-    return q, single
+    order = np.argsort(rows, kind="stable")
+    indptr = np.zeros(m + 1, dtype=itype)
+    np.cumsum(np.bincount(rows, minlength=m), out=indptr[1:])
+    probe = csr_array((order.astype(np.float64), position[matrix.indices[links[order]]],
+                       indptr), shape=(m, m))
+    rows = rows[order]
+    del order                         # lowers the build's peak memory
+    probe.sort_indices()
+    # duplicate links do not change the period
+    if chain_period(probe) > 1:
+        return None
+    gather = links[probe.data.astype(itype)]
+    # a link starts a Q entry unless it repeats the previous link's (row, col)
+    starts = np.ones(gather.size, dtype=bool)
+    starts[1:] = (probe.indices[1:] != probe.indices[:-1]) | (rows[1:] != rows[:-1])
+    q_count = np.cumsum(starts, dtype=itype)
+    first, tail = np.flatnonzero(starts), np.flatnonzero(~starts)
+    # a tail link's rank: how many links of its entry come before it
+    rank = tail - first[q_count[tail] - 1]
+    q_more = tuple((q_count[tail[rank == r]] - 1, gather[tail[rank == r]])
+                   for r in range(1, int(rank.max(initial=0)) + 1))
+    q_indptr = np.concatenate((np.zeros(1, itype), q_count))[probe.indptr]
+    return q_indptr, probe.indices[first], gather[first], q_more
 
 
-def _recover(matrix, single, y):
-    """Full stationary vector from the censored chain's: the censored
-    pages' mass is P x on them, repeated until it stops changing. P
-    restricted to those pages is nilpotent, so this ends after (longest
-    single-out-link path + 1) sweeps."""
-    censored = np.flatnonzero(single)
-    into_censored = matrix[censored]
-    x = np.zeros(matrix.shape[0])
-    x[~single] = y
-    while True:
-        pushed = into_censored @ x
-        if np.array_equal(pushed, x[censored]):
-            return x / x.sum()
-        x[censored] = pushed
+def _levels(matrix, single, depth):
+    """The censored pages' rows of P, deepest first, as the entries that
+    hold them, split where the depth changes: a level's pages depend on no
+    other page of their level."""
+    itype = matrix.indices.dtype
+    censored = np.flatnonzero(single).astype(itype)
+    censored = censored[np.argsort(-depth[censored])]
+    lengths = matrix.indptr[censored + 1] - matrix.indptr[censored]
+    row_ptr = np.concatenate(([0], np.cumsum(lengths))).astype(itype)
+    entries = np.arange(row_ptr[-1], dtype=itype)
+    entries += np.repeat(matrix.indptr[censored] - row_ptr[:-1], lengths)
+    sources = matrix.indices[entries]
+    cuts = [0, *(np.flatnonzero(np.diff(depth[censored])) + 1), censored.size]
+    return tuple((censored[a:b], entries[row_ptr[a]:row_ptr[b]],
+                  sources[row_ptr[a]:row_ptr[b]], row_ptr[a:b + 1] - row_ptr[a])
+                 for a, b in zip(cuts, cuts[1:]))
+
+
+def _censored(plan: SolvePlan, matrix):
+    """The chain to iterate: Q with ``matrix``'s weights, or ``matrix``
+    itself when the plan censors nothing."""
+    if plan.q_first is None:
+        return matrix
+    data = matrix.data[plan.q_first]
+    for q_entries, p_entries in plan.q_more:
+        data[q_entries] += matrix.data[p_entries]
+    m = plan.q_indptr.size - 1
+    return csr_array((data, plan.q_indices, plan.q_indptr), shape=(m, m))
+
+
+def _recover(plan: SolvePlan, matrix, y):
+    """Full stationary vector from the censored chain's: level by level, a
+    censored page's mass is its row of P times the pages already known."""
+    n = matrix.shape[0]
+    x = np.zeros(n)
+    x[~plan.single] = y
+    for pages, entries, sources, row_ptr in plan.levels:
+        x[pages] = csr_array((matrix.data[entries], sources, row_ptr),
+                             shape=(pages.size, n)) @ x
+    return x / x.sum()
 
 
 def stationary(
     p: TransitionMatrix,
     tolerance: float = DEFAULT_TOLERANCE,
     max_iterations: int = DEFAULT_MAX_ITERATIONS,
+    plan: SolvePlan | None = None,
 ) -> StationaryResult:
     """Stationary distribution by power iteration until the L1 step norm
     falls below ``tolerance``.
 
     One step from the uniform vector comes first; a chain it already
-    satisfies returns with 1 iteration. A periodic chain then raises
-    :class:`PeriodicChainError` before any further step. Otherwise the
-    chain that :func:`_censor` picks is iterated from its uniform vector
+    satisfies returns with 1 iteration and no plan. Then the solve needs a
+    :class:`SolvePlan`: ``plan`` (an earlier result's ``plan``) is reused
+    when its links equal P's, as after click bias, which keeps the
+    baseline's links. Otherwise a periodic chain raises
+    :class:`PeriodicChainError` before any further step, and a plan is
+    built. The chain the plan picks is iterated from its uniform vector
     (with nothing censored it is P, and its first step repeats the uniform
     one), ``iterations`` counts its steps, censored pages are recovered,
     and the result must satisfy ||P pi - pi||_1 <= max(1e-9, 1e3 * tolerance).
+    The result carries the plan it used. A plan changes no output byte.
 
     Non-convergence raises :class:`ConvergenceError` carrying the last
     iterate over all pages and the iterated chain's residual history.
@@ -219,14 +327,16 @@ def stationary(
     v, done = _power_iteration(matrix, np.full(p.n, 1.0 / p.n), tolerance, 1, history)
     if done:
         return StationaryResult(pi=v, iterations=1, residual=history[-1])
-    if (period := chain_period(matrix)) > 1:
-        raise PeriodicChainError(period, last_iterate=v, residual_history=history)
-    q, single = _censor(matrix)
+    if plan is None or not plan.fits(matrix):
+        if (period := chain_period(matrix)) > 1:
+            raise PeriodicChainError(period, last_iterate=v, residual_history=history)
+        plan = _censor(matrix)
+    q = _censored(plan, matrix)
     history = []
     y, done = _power_iteration(q, np.full(q.shape[0], 1.0 / q.shape[0]),
                                tolerance, max_iterations, history)
     # recovering an empty set would renormalise y and move its last bits
-    x = _recover(matrix, single, y) if single.any() else y
+    x = _recover(plan, matrix, y) if plan.levels else y
     if not done:
         raise ConvergenceError(
             f"power iteration did not reach tolerance {tolerance:g} within "
@@ -237,7 +347,8 @@ def stationary(
         raise ConvergenceError(
             f"stationary vector fails its check: ||P pi - pi||_1 = "
             f"{certificate:.3e}", last_iterate=x, residual_history=history)
-    return StationaryResult(pi=x, iterations=len(history), residual=history[-1])
+    return StationaryResult(pi=x, iterations=len(history), residual=history[-1],
+                            plan=plan)
 
 
 def lorenz_curve(pi: np.ndarray) -> np.ndarray:

@@ -131,6 +131,46 @@ def test_sweep_worker_count_invariant(tmp_path, t4):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_runs_reuse_the_baseline_plan_without_changing_bytes(tmp_path, monkeypatch):
+    from navsteer.synth import scale_free_graph
+    g = scale_free_graph(300, seed=4)
+    config = SweepConfig(
+        strategies=(Strategy.CLICK_BIAS, Strategy.LINK_INSERTION, Strategy.COMBINED),
+        phi_values=(0.05, 0.2), bias_strengths=(2.0, 5.0), alpha_values=(0.5, 1.0),
+        samples_per_phi=2, master_seed=5)
+    solves = []
+    solve = experiment.stationary
+
+    def spy(p, *args, plan=None, **kwargs):
+        result = solve(p, *args, plan=plan, **kwargs)
+        solves.append((plan, result.plan))
+        return result
+
+    def unplanned(p, *args, plan=None, **kwargs):
+        return solve(p, *args, **kwargs)
+
+    csv = {}
+    for name, workers, stand_in in (("planned", 1, spy), ("pool", 2, None),
+                                    ("unplanned", 1, unplanned)):
+        if stand_in is not None:
+            monkeypatch.setattr(experiment, "stationary", stand_in)
+        result = sweep(g, config, workers=workers)
+        assert not result.failures
+        csv[name] = tmp_path / f"{name}.csv"
+        write_records_csv(result.records, csv[name])
+    assert csv["planned"].read_bytes() == csv["pool"].read_bytes()
+    assert csv["planned"].read_bytes() == csv["unplanned"].read_bytes()
+    # the baseline solve has no plan to reuse; every bias run reuses its
+    # plan, and so does every alpha 1 combined run, which inserts nothing
+    baseline_plan = solves[0][1]
+    reused = sum(given is baseline_plan and used is baseline_plan
+                 for given, used in solves[1:])
+    bias_runs = sum(r.strategy == "bias" for r in result.records)
+    alpha_one = sum(r.alpha == 1.0 and r.inserted_count == 0 for r in result.records)
+    assert solves[0][0] is None and alpha_one > 0
+    assert reused == bias_runs + alpha_one
+
+
 class _InlinePool:
     """Stands in for ProcessPoolExecutor: records ``max_workers`` and runs
     tasks in this process, so no worker is ever started."""

@@ -7,6 +7,7 @@ accounting rules (integer arithmetic stays exact in floating point).
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.sparse import csc_array
 
 from navsteer import (
@@ -24,6 +25,7 @@ from navsteer.modify import (
     apply_modification,
     click_bias,
     _eligible_entries,
+    _top,
     combine,
     insert_links,
     weight_budget,
@@ -255,6 +257,26 @@ def parallel_placements(g, t, pi, budget_count):
         parallel += pair in present
         present.add(pair)
     return parallel
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.sampled_from([0.0, -0.0, 0.1, 0.25]) | st.floats(0.0, 1.0),
+                min_size=1, max_size=60),
+       st.integers(1, 70))
+def test_top_sources_match_a_stable_full_sort(values, k):
+    # ties (drawn often from the four fixed values) go to the lower index
+    pi = np.array(values)
+    assert _top(pi, k).tobytes() == np.argsort(-pi, kind="stable")[:k].tobytes()
+
+
+@pytest.mark.parametrize("k", [1, 10, 50, 500, 4999, 5000])
+@pytest.mark.parametrize("decimals", [None, 4])
+def test_top_sources_of_a_solved_graph(k, decimals):
+    from navsteer.synth import scale_free_graph
+    pi = solve(scale_free_graph(5000, seed=1))
+    if decimals is not None:                      # forces ties
+        pi = np.round(pi, decimals)
+    assert _top(pi, k).tobytes() == np.argsort(-pi, kind="stable")[:k].tobytes()
 
 
 def test_insert_does_not_mutate_inputs(t4):

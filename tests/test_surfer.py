@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.sparse import csr_array
 
 from navsteer import (
     ConvergenceError,
@@ -19,7 +20,16 @@ from navsteer import (
 )
 
 from navsteer import surfer
-from navsteer.surfer import chain_period
+from navsteer.modify import combine, insert_links
+from navsteer.surfer import (
+    DEFAULT_MAX_ITERATIONS,
+    DEFAULT_TOLERANCE,
+    StationaryResult,
+    TransitionMatrix,
+    _power_iteration,
+    chain_period,
+)
+from navsteer.synth import scale_free_graph
 
 from conftest import T4_PI, dense_stationary, make_t4, random_scc_graph
 
@@ -295,7 +305,8 @@ def test_censored_chain_of_fixed_examples(make, kept, period):
     assert chain_period(p.entries) == 1
     out_links = np.bincount(p.entries.indices, minlength=p.n)
     assert np.flatnonzero(out_links > 1).tolist() == kept
-    q, single = surfer._censor(p.entries)
+    plan = surfer._censor(p.entries)
+    q, single = surfer._censored(plan, p.entries), plan.single
     if period > 1:
         assert q is p.entries
         assert not single.any()
@@ -306,7 +317,8 @@ def test_censored_chain_of_fixed_examples(make, kept, period):
 
 def test_nothing_is_left_to_censor_on_a_cycle():
     p = transition_matrix(_pure_cycle_graph())
-    q, single = surfer._censor(p.entries)
+    plan = surfer._censor(p.entries)
+    q, single = surfer._censored(plan, p.entries), plan.single
     assert q is p.entries
     assert single.shape == (p.n,) and not single.any()
 
@@ -336,6 +348,260 @@ def test_uncensored_solve_is_the_plain_power_iteration(make):
 def test_certificate_rejects_a_wrong_vector(t4, monkeypatch):
     # a recovery fault must not reach the caller as a stationary vector
     monkeypatch.setattr(surfer, "_recover",
-                        lambda matrix, single, y: np.full(matrix.shape[0], 0.25))
+                        lambda plan, matrix, y: np.full(matrix.shape[0], 0.25))
     with pytest.raises(ConvergenceError, match="fails its check"):
         stationary(transition_matrix(t4))
+
+
+# ------------------------------------------ solve plans against the old solve
+#
+# The solve as it stood before solve plans, kept verbatim as the oracle:
+# Q summed by scipy's own duplicate handling, recovery by repeated sweeps
+# until nothing changes.
+
+def _old_censor(matrix):
+    """``(Q, single)``: the chain censored to the pages with more than one
+    out-link, and the mask of the pages censored out.
+
+    A page e with a single out-link passes all its mass on, so its mass
+    lands on ``jump(e)``, the first other page on its successor path. Q
+    moves each link's target to its jump and keeps the other pages S; its
+    stationary vector is pi restricted to S, renormalised (Meyer, SIAM
+    Review 31(2), 1989). Nothing is censored (Q is ``matrix`` itself and
+    ``single`` all False) when no page has a single out-link, when such
+    pages close a loop, or when Q would be periodic.
+    """
+    n = matrix.shape[0]
+    single = np.bincount(matrix.indices, minlength=n) == 1
+    if not single.any():
+        return matrix, single
+    entry = np.flatnonzero(single[matrix.indices])
+    jump = np.arange(n)
+    jump[matrix.indices[entry]] = np.searchsorted(matrix.indptr, entry, side="right") - 1
+    # pointer doubling: after k rounds jump(e) is 2^k links down the path
+    for _ in range(n.bit_length()):
+        if not single[jump].any():
+            break
+        jump = jump[jump]
+    if single[jump].any():
+        return matrix, np.zeros(n, dtype=bool)
+    # Q in one step: each stored link keeps its weight, its target moves
+    # to the target's jump, and links out of censored pages are dropped
+    kept = ~single
+    position = np.cumsum(kept, dtype=matrix.indices.dtype) - 1
+    links = kept[matrix.indices]
+    rows = np.repeat(position[jump], np.diff(matrix.indptr))[links]
+    cols = position[matrix.indices[links]]
+    m = np.count_nonzero(kept)
+    q = csr_array((matrix.data[links], (rows, cols)), shape=(m, m))
+    if chain_period(q) > 1:
+        return matrix, np.zeros(n, dtype=bool)
+    return q, single
+
+
+def _old_recover(matrix, single, y):
+    """Full stationary vector from the censored chain's: the censored
+    pages' mass is P x on them, repeated until it stops changing. P
+    restricted to those pages is nilpotent, so this ends after (longest
+    single-out-link path + 1) sweeps."""
+    censored = np.flatnonzero(single)
+    into_censored = matrix[censored]
+    x = np.zeros(matrix.shape[0])
+    x[~single] = y
+    while True:
+        pushed = into_censored @ x
+        if np.array_equal(pushed, x[censored]):
+            return x / x.sum()
+        x[censored] = pushed
+
+
+def _old_stationary(
+    p: TransitionMatrix,
+    tolerance: float = DEFAULT_TOLERANCE,
+    max_iterations: int = DEFAULT_MAX_ITERATIONS,
+) -> StationaryResult:
+    """Stationary distribution by power iteration until the L1 step norm
+    falls below ``tolerance``.
+
+    One step from the uniform vector comes first; a chain it already
+    satisfies returns with 1 iteration. A periodic chain then raises
+    :class:`PeriodicChainError` before any further step. Otherwise the
+    chain that :func:`_censor` picks is iterated from its uniform vector
+    (with nothing censored it is P, and its first step repeats the uniform
+    one), ``iterations`` counts its steps, censored pages are recovered,
+    and the result must satisfy ||P pi - pi||_1 <= max(1e-9, 1e3 * tolerance).
+
+    Non-convergence raises :class:`ConvergenceError` carrying the last
+    iterate over all pages and the iterated chain's residual history.
+    """
+    if not 0 < tolerance < np.inf:  # also rejects nan
+        raise ValidationError(f"tolerance must be finite and positive, got {tolerance}")
+    if max_iterations < 1:
+        raise ValidationError("max_iterations must be at least 1")
+    matrix = p.entries
+    history: list[float] = []
+    v, done = _power_iteration(matrix, np.full(p.n, 1.0 / p.n), tolerance, 1, history)
+    if done:
+        return StationaryResult(pi=v, iterations=1, residual=history[-1])
+    if (period := chain_period(matrix)) > 1:
+        raise PeriodicChainError(period, last_iterate=v, residual_history=history)
+    q, single = _old_censor(matrix)
+    history = []
+    y, done = _power_iteration(q, np.full(q.shape[0], 1.0 / q.shape[0]),
+                               tolerance, max_iterations, history)
+    # recovering an empty set would renormalise y and move its last bits
+    x = _old_recover(matrix, single, y) if single.any() else y
+    if not done:
+        raise ConvergenceError(
+            f"power iteration did not reach tolerance {tolerance:g} within "
+            f"{max_iterations} iterations (last residual {history[-1]:.3e})",
+            last_iterate=x, residual_history=history)
+    certificate = float(np.abs(matrix @ x - x).sum())
+    if certificate > max(1e-9, 1e3 * tolerance):
+        raise ConvergenceError(
+            f"stationary vector fails its check: ||P pi - pi||_1 = "
+            f"{certificate:.3e}", last_iterate=x, residual_history=history)
+    return StationaryResult(pi=x, iterations=len(history), residual=history[-1])
+
+
+def _outcome(solve, p, **kwargs):
+    """What a solve gives its caller, as comparable values and bytes."""
+    try:
+        r = solve(p, **kwargs)
+    except (ConvergenceError, PeriodicChainError) as e:
+        return (type(e).__name__, str(e), e.last_iterate.tobytes(),
+                list(e.residual_history))
+    return ("ok", r.pi.tobytes(), r.iterations, r.residual)
+
+
+def _reweighted(g, seed):
+    """``g``'s links with new weights, as click bias leaves them."""
+    rng = np.random.default_rng(seed)
+    return g.with_weights(rng.uniform(0.1, 5.0, g.adjacency.nnz))
+
+
+def _assert_plans_match_the_old_solve(g, seed, budget):
+    p = transition_matrix(g)
+    assert (_outcome(stationary, p, max_iterations=budget)
+            == _outcome(_old_stationary, p, max_iterations=budget))
+    # the plan the baseline solve builds, without iterating to convergence
+    plan = surfer._censor(p.entries) if chain_period(p.entries) == 1 else None
+    q = transition_matrix(_reweighted(g, seed))
+    assert (_outcome(stationary, q, max_iterations=budget, plan=plan)
+            == _outcome(_old_stationary, q, max_iterations=budget))
+    try:
+        reused = stationary(q, max_iterations=budget, plan=plan).plan
+    except (ConvergenceError, PeriodicChainError):
+        reused = None
+    assert reused is None or reused is plan
+
+
+@settings(max_examples=150, deadline=None)
+@given(censorable_graphs(), st.integers(0, 2**32 - 1), st.sampled_from([1, 2, 5, 20, 5000]))
+def test_planned_solve_matches_the_old_solve(g, seed, budget):
+    _assert_plans_match_the_old_solve(g, seed, budget)
+
+
+def _merged_links_graph(k=12, per=3):
+    # page 0 links to pages 1..k, and each page j links back to 0 directly,
+    # on to page j + 1, and through ``per`` single-out-link pages, numbered
+    # in shuffled order. Censored, each j sends 1 + per links to 0 that
+    # merge into one entry of Q's row 0, which gathers k * (1 + per) links
+    rng = np.random.default_rng(0)
+    src, dst = [], []
+    for j in range(1, k + 1):
+        src += [0, j, j]
+        dst += [j, 0, j % k + 1]
+    single = iter(rng.permutation(np.arange(k + 1, k + 1 + k * per)).tolist())
+    for j in range(1, k + 1):
+        for _ in range(per):
+            s = next(single)
+            src += [j, s]
+            dst += [s, 0]
+    return WeightedDigraph.from_edges(k + 1 + k * per, src, dst,
+                                      rng.uniform(0.1, 5.0, size=len(src)))
+
+
+def _period_three_graph():
+    return WeightedDigraph.from_edges(4, [0, 0, 1, 3, 2], [1, 3, 2, 2, 0])
+
+
+def _period_two_graph():
+    n = 8
+    return WeightedDigraph.from_edges(
+        n, list(range(n)) + [0, 2, 5], [(i + 1) % n for i in range(n)] + [3, 7, 0])
+
+
+@pytest.mark.parametrize("make", [
+    _censored_periodic_graph, _deep_chain_graph, _pure_cycle_graph, make_t4,
+    _multi_link_graph, _merged_links_graph, _period_three_graph, _period_two_graph])
+@pytest.mark.parametrize("budget", [DEFAULT_MAX_ITERATIONS, 1, 3])
+def test_planned_solve_matches_the_old_solve_on_fixed_examples(make, budget):
+    _assert_plans_match_the_old_solve(make(), 5, budget)
+
+
+def test_duplicate_links_sum_in_scipys_order():
+    p = transition_matrix(_merged_links_graph())
+    plan = surfer._censor(p.entries)
+    q = surfer._censored(plan, p.entries)
+    old_q, _ = _old_censor(p.entries)
+    # P's links summed into each Q entry, in the plan's order
+    summed = [[e] for e in plan.q_first.tolist()]
+    for q_entries, p_entries in plan.q_more:
+        for k, e in zip(q_entries.tolist(), p_entries.tolist()):
+            summed[k].append(e)
+    # 4 links merge into each entry of a row of 48 links, where
+    # csr_sort_indices runs an introsort that leaves ties out of P's order
+    assert max(len(links) for links in summed) >= 3
+    assert max(np.add.reduceat([len(links) for links in summed], q.indptr[:-1])) > 16
+    assert any(links != sorted(links) for links in summed)
+    assert q.indptr.tobytes() == old_q.indptr.tobytes()
+    assert q.indices.tobytes() == old_q.indices.tobytes()
+    assert q.data.tobytes() == old_q.data.tobytes()
+    assert _outcome(stationary, p) == _outcome(_old_stationary, p)
+    # summing in P's order would move bytes, so this graph tells the orders apart
+    in_p_order = [sum(p.entries.data[sorted(links)[1:]], p.entries.data[min(links)])
+                  for links in summed]
+    assert np.array(in_p_order).tobytes() != old_q.data.tobytes()
+
+
+def _synth_run(seed=2):
+    g = scale_free_graph(400, seed=seed)
+    base = stationary(transition_matrix(g))
+    t = np.zeros(g.n)
+    t[np.random.default_rng(seed).choice(g.n, 20, replace=False)] = 1.0
+    return g, base, t
+
+
+def test_a_plan_for_other_links_is_not_reused():
+    g, base, t = _synth_run()
+    inserted, _ = insert_links(g, t, base.pi, 30)
+    p = transition_matrix(inserted)
+    assert not base.plan.fits(p.entries)
+    res = stationary(p, plan=base.plan)
+    assert res.plan is not base.plan
+    assert _outcome(stationary, p, plan=base.plan) == _outcome(stationary, p)
+
+
+def test_a_combined_run_that_inserts_nothing_reuses_the_plan():
+    g, base, t = _synth_run()
+    modified, budget = combine(g, t, base.pi, 3.0, 1.0, np.random.default_rng(0))
+    assert budget.inserted_count == 0 and budget.biased_weight > 0
+    p = transition_matrix(modified)
+    assert stationary(p, plan=base.plan).plan is base.plan
+    assert _outcome(stationary, p, plan=base.plan) == _outcome(_old_stationary, p)
+
+
+def test_a_periodic_chain_raises_before_any_plan_is_built(monkeypatch):
+    plan = stationary(transition_matrix(make_t4())).plan
+
+    def build(matrix):
+        raise AssertionError("a plan was built for a periodic chain")
+
+    monkeypatch.setattr(surfer, "_censor", build)
+    for make, period in ((_period_three_graph, 3), (_period_two_graph, 2)):
+        p = transition_matrix(make())
+        for given_plan in (None, plan):
+            with pytest.raises(PeriodicChainError) as err:
+                stationary(p, plan=given_plan)
+            assert err.value.period == period
