@@ -81,6 +81,8 @@ class SweepConfig:
             raise ValidationError("alpha values must lie in [0, 1]")
         if Strategy.COMBINED in self.strategies and not self.alpha_values:
             raise ValidationError("combined strategy needs alpha values")
+        if Strategy.COMBINED in self.strategies and 1.0 in self.bias_strengths:
+            raise ValidationError("combined strategy needs bias strengths > 1")
         if self.samples_per_phi < 1:
             raise ValidationError("samples_per_phi must be at least 1")
 
@@ -148,7 +150,6 @@ class BinnedSummary:
     counts: tuple[int, ...]
     mean_energy: np.ndarray
     dropped_infinite: int
-    requested_bins: int
     notice: str | None = None
 
 
@@ -214,15 +215,13 @@ def run_single_detailed(
 
 @dataclass(frozen=True)
 class _Task:
-    """One run of a sweep: a strategy and strength on a sampled target set.
+    """One run of a sweep: a modification of a sampled target set.
 
     ``phi`` is the requested grid value the record reports.
     """
 
-    strategy: Strategy
     phi: float
-    b: float
-    alpha: float | None
+    spec: ModificationSpec
     targets: TargetSet
 
 
@@ -235,10 +234,8 @@ class _SweepContext:
     config: SweepConfig
 
     def run(self, task: _Task) -> RunRecord | RunFailure:
-        config, ts = self.config, task.targets
+        config, spec, ts = self.config, task.spec, task.targets
         try:
-            spec = _make_spec(task.strategy, task.b, task.alpha,
-                              config.master_seed, task.phi, ts.sample_id)
             return run_single_detailed(
                 self.g, ts, spec,
                 tolerance=config.tolerance,
@@ -249,9 +246,9 @@ class _SweepContext:
             )[0]
         except Exception as exc:  # isolate the run, keep the sweep going
             return RunFailure(
-                graph_id=config.graph_id, strategy=task.strategy.value,
-                phi=task.phi, sample_id=ts.sample_id, b=task.b,
-                alpha=task.alpha, error=type(exc).__name__, message=str(exc))
+                graph_id=config.graph_id, strategy=spec.strategy.value,
+                phi=task.phi, sample_id=ts.sample_id, b=spec.bias_strength,
+                alpha=spec.alpha, error=type(exc).__name__, message=str(exc))
 
 
 # Set once per pool worker by the initializer, so the graph is pickled once
@@ -298,8 +295,9 @@ def _enumerate_tasks(g: WeightedDigraph, config: SweepConfig) -> list[_Task]:
             for ts in targets_by_phi[phi]:
                 for b in sorted(config.bias_strengths):
                     for alpha in alphas:
-                        tasks.append(_Task(strategy, float(phi), float(b),
-                                           alpha, ts))
+                        spec = _make_spec(strategy, float(b), alpha, config.master_seed,
+                                          float(phi), ts.sample_id)
+                        tasks.append(_Task(float(phi), spec, ts))
     return tasks
 
 
@@ -416,5 +414,4 @@ def bin_by_degree_ratio(
         means = np.where(counts > 0, sums / np.maximum(counts, 1), np.nan)
     return BinnedSummary(method=method, bin_edges=edges,
                          counts=tuple(int(c) for c in counts),
-                         mean_energy=means, dropped_infinite=dropped,
-                         requested_bins=n_bins, notice=notice)
+                         mean_energy=means, dropped_infinite=dropped, notice=notice)

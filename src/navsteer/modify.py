@@ -55,6 +55,8 @@ class ModificationSpec:
         if self.strategy is Strategy.COMBINED:
             if self.alpha is None or not (0.0 <= self.alpha <= 1.0):
                 raise ValidationError("combined strategy needs alpha in [0, 1]")
+            if self.bias_strength == 1.0:
+                raise ValidationError("combined strategy needs bias strength > 1")
             if self.seed is None:
                 raise ValidationError("combined strategy needs an RNG seed")
         else:
@@ -121,13 +123,15 @@ def weight_budget(g: WeightedDigraph, t: np.ndarray, b: float) -> float:
     return l_b
 
 
-def _bias(weights: np.ndarray, b: float) -> np.ndarray:
-    """``weights`` times ``b``; a product past float64 is a ValidationError."""
+def _biased(g: WeightedDigraph, entries: np.ndarray, b: float) -> WeightedDigraph:
+    """``g`` with the weights of its stored ``entries`` times ``b``; a
+    weight past float64 is a ValidationError."""
+    data = g.adjacency.data.copy()
     with np.errstate(over="ignore"):
-        biased = weights * b
-    if not np.all(np.isfinite(biased)):
+        data[entries] *= b
+    if not np.isfinite(data).all():
         raise ValidationError(f"bias strength {b!r} overflows a link weight in float64")
-    return biased
+    return g.with_weights(data)
 
 
 def click_bias(g: WeightedDigraph, t: np.ndarray, b: float) -> WeightedDigraph:
@@ -138,11 +142,7 @@ def click_bias(g: WeightedDigraph, t: np.ndarray, b: float) -> WeightedDigraph:
     exactly B W with B = I + (b - 1) diag(t).
     """
     check_bias_strength(b)
-    mask = _target_mask(t, g.n)
-    data = g.adjacency.data.copy()
-    onto = mask[g.adjacency.indices]
-    data[onto] = _bias(data[onto], b)
-    return g.with_weights(data)
+    return _biased(g, _target_mask(t, g.n)[g.adjacency.indices], b)
 
 
 def insert_links(
@@ -207,8 +207,7 @@ def insert_links(
 def _top(pi: np.ndarray, k: int) -> np.ndarray:
     """The ``k`` pages of highest ``pi``, highest first, ties toward the
     lower index: ``np.argsort(-pi, kind="stable")[:k]`` in O(n)."""
-    if k >= pi.size:
-        return np.argsort(-pi, kind="stable")
+    k = min(k, pi.size)
     kth = np.partition(pi, pi.size - k)[pi.size - k]      # the k-th largest
     above = np.flatnonzero(pi > kth)
     candidates = np.concatenate((above, np.flatnonzero(pi == kth)[:k - above.size]))
@@ -282,10 +281,7 @@ def combine(
     k = int(np.argmax(np.append(stops, True)))
     consumed = float(spent[k])
 
-    data = g.adjacency.data.copy()
-    taken = pos[order[:k]]
-    data[taken] = _bias(data[taken], b)
-    partially_modified = g.with_weights(data)
+    partially_modified = _biased(g, pos[order[:k]], b)
     insert_count = round_half_up(l_b - consumed)
     if insert_count >= 1:
         modified, ins = insert_links(partially_modified, t, pi, insert_count)

@@ -146,13 +146,14 @@ class SolvePlan:
     - P's ``indptr`` and ``indices``, the links it was built for;
     - ``single``, the mask of the pages censored out;
     - Q's ``q_indptr`` and ``q_indices``, and how Q's data is summed from
-      P's: entry k of Q starts as P's entry ``q_first[k]``, then each
-      ``(q_entries, p_entries)`` pair of ``q_more`` adds one more of P's
-      entries to some of Q's, in the order scipy sums duplicate links;
+      P's: entry k of Q starts as P's entry ``q_first[k]``, then P's entry
+      ``p_tail[i]`` is added to Q's entry ``q_tail[i]`` for i = 0, 1, ...
+      in turn, which sums each entry's links in the order scipy sums
+      duplicate links;
     - ``levels``, the censored pages by their number of links to the first
       page of S, farthest first, so each level needs only pages already
-      recovered; a level is ``(pages, entries, sources, row_ptr)``, its
-      rows of P as a CSR structure over P's ``entries``.
+      recovered; a level is ``(pages, entries, row_ptr)``, its rows of P
+      as a CSR structure over P's ``entries``.
 
     When nothing is censored, ``single`` is all False, Q is P itself and
     the Q fields are None.
@@ -164,7 +165,8 @@ class SolvePlan:
     q_indptr: np.ndarray | None = None
     q_indices: np.ndarray | None = None
     q_first: np.ndarray | None = None
-    q_more: tuple[tuple[np.ndarray, np.ndarray], ...] = ()
+    q_tail: np.ndarray | None = None
+    p_tail: np.ndarray | None = None
     levels: tuple[tuple[np.ndarray, ...], ...] = ()
 
     def fits(self, matrix) -> bool:
@@ -210,8 +212,8 @@ def _censor(matrix) -> SolvePlan:
 
 
 def _sum_order(matrix, single, jump):
-    """``(q_indptr, q_indices, q_first, q_more)`` of a :class:`SolvePlan`,
-    or None when Q is periodic.
+    """``(q_indptr, q_indices, q_first, q_tail, p_tail)`` of a
+    :class:`SolvePlan`, or None when Q is periodic.
 
     Each stored link keeps its weight, its target moves to the target's
     jump, and links out of censored pages are dropped.
@@ -243,13 +245,11 @@ def _sum_order(matrix, single, jump):
     starts = np.ones(gather.size, dtype=bool)
     starts[1:] = (probe.indices[1:] != probe.indices[:-1]) | (rows[1:] != rows[:-1])
     q_count = np.cumsum(starts, dtype=itype)
+    # an entry's other links follow its first in scipy's order
     first, tail = np.flatnonzero(starts), np.flatnonzero(~starts)
-    # a tail link's rank: how many links of its entry come before it
-    rank = tail - first[q_count[tail] - 1]
-    q_more = tuple((q_count[tail[rank == r]] - 1, gather[tail[rank == r]])
-                   for r in range(1, int(rank.max(initial=0)) + 1))
     q_indptr = np.concatenate((np.zeros(1, itype), q_count))[probe.indptr]
-    return q_indptr, probe.indices[first], gather[first], q_more
+    return (q_indptr, probe.indices[first], gather[first],
+            q_count[tail] - 1, gather[tail])
 
 
 def _levels(matrix, single, depth):
@@ -263,10 +263,9 @@ def _levels(matrix, single, depth):
     row_ptr = np.concatenate(([0], np.cumsum(lengths))).astype(itype)
     entries = np.arange(row_ptr[-1], dtype=itype)
     entries += np.repeat(matrix.indptr[censored] - row_ptr[:-1], lengths)
-    sources = matrix.indices[entries]
     cuts = [0, *(np.flatnonzero(np.diff(depth[censored])) + 1), censored.size]
     return tuple((censored[a:b], entries[row_ptr[a]:row_ptr[b]],
-                  sources[row_ptr[a]:row_ptr[b]], row_ptr[a:b + 1] - row_ptr[a])
+                  row_ptr[a:b + 1] - row_ptr[a])
                  for a, b in zip(cuts, cuts[1:]))
 
 
@@ -276,8 +275,8 @@ def _censored(plan: SolvePlan, matrix):
     if plan.q_first is None:
         return matrix
     data = matrix.data[plan.q_first]
-    for q_entries, p_entries in plan.q_more:
-        data[q_entries] += matrix.data[p_entries]
+    # unbuffered, in index order: (a + b) + c, as scipy sums
+    np.add.at(data, plan.q_tail, matrix.data[plan.p_tail])
     m = plan.q_indptr.size - 1
     return csr_array((data, plan.q_indices, plan.q_indptr), shape=(m, m))
 
@@ -288,8 +287,8 @@ def _recover(plan: SolvePlan, matrix, y):
     n = matrix.shape[0]
     x = np.zeros(n)
     x[~plan.single] = y
-    for pages, entries, sources, row_ptr in plan.levels:
-        x[pages] = csr_array((matrix.data[entries], sources, row_ptr),
+    for pages, entries, row_ptr in plan.levels:
+        x[pages] = csr_array((matrix.data[entries], matrix.indices[entries], row_ptr),
                              shape=(pages.size, n)) @ x
     return x / x.sum()
 

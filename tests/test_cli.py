@@ -692,6 +692,63 @@ def test_sweep_infinite_bias_strength_config_file(tmp_path, t4_file, capsys):
     assert not (outdir / "t4.runs.csv").exists()
 
 
+def _no_solve(monkeypatch):
+    def solve(*args, **kwargs):
+        raise AssertionError("a solve ran")
+
+    monkeypatch.setattr("navsteer.experiment.stationary", solve)
+
+
+def test_modify_combined_at_b_one_exits_before_any_solve(tmp_path, t4_file, capsys,
+                                                         monkeypatch):
+    _no_solve(monkeypatch)
+    outdir = tmp_path / "out"
+    assert main(["modify", str(t4_file), "--strategy", "combined",
+                 "--bias-strength", "1", "--alpha", "0.5", "--targets", "p1",
+                 "--seed", "1", "--output-dir", str(outdir)]) == 2
+    assert "bias strength > 1" in capsys.readouterr().err
+    assert not outdir.exists()
+
+
+def test_sweep_combined_at_b_one_exits_before_any_solve(tmp_path, t4_file, capsys,
+                                                        monkeypatch):
+    _no_solve(monkeypatch)
+    outdir = tmp_path / "out"
+    assert main(["sweep", str(t4_file), "--strategies", "bias,combined",
+                 "--phi-values", "0.25", "--bias-strengths", "1,2",
+                 "--alpha-values", "0.5", "--samples", "2", "--seed", "1",
+                 "--output-dir", str(outdir)]) == 2
+    assert "bias strengths > 1" in capsys.readouterr().err
+    assert not outdir.exists()
+
+
+def test_modify_targets_file_without_labels(tmp_path, t4_file, capsys):
+    targets = tmp_path / "targets.txt"
+    targets.write_text("# no labels here\n\n   \n")
+    assert main(["modify", str(t4_file), "--strategy", "bias",
+                 "--bias-strength", "2", "--targets-file", str(targets),
+                 "--output-dir", str(tmp_path / "out")]) == 2
+    assert f"no target labels found in {targets}" in capsys.readouterr().err
+
+
+def test_sweep_config_line_without_equals_sign(tmp_path, t4_file, capsys):
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text("# sweep\nstrategies = bias\nphi_values 0.25\n")
+    assert main(["sweep", str(t4_file), "--config", str(cfg), "--seed", "1",
+                 "--output-dir", str(tmp_path / "out")]) == 2
+    assert f"{cfg}:3: expected 'key = value'" in capsys.readouterr().err
+
+
+def test_sweep_without_seed_echoes_the_generated_seed(tmp_path, t4_file, caplog):
+    outdir = tmp_path / "out"
+    assert main(["sweep", str(t4_file), "--strategies", "bias",
+                 "--phi-values", "0.25", "--bias-strengths", "2",
+                 "--samples", "1", "--output-dir", str(outdir)]) == 0
+    seed = json.loads((outdir / "t4.config.json").read_text())["master_seed"]
+    assert isinstance(seed, int) and 0 <= seed < 2**63
+    assert f"no master seed given; generated {seed} " in caplog.text
+
+
 # ------------------------------------------------ no input ends in a traceback
 
 _PAGES = st.sampled_from(["a", "b", "c", "p 1", "x,y", '"q"'])

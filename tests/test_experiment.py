@@ -367,3 +367,35 @@ def test_binning_quantile_method():
 def test_binning_rejects_unknown_method():
     with pytest.raises(ValidationError):
         bin_by_degree_ratio([make_record(1.0, 0.1)], method="log")
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda t4: bias_config(strategies=()), "sweep needs at least one strategy"),
+    (lambda t4: bias_config(bias_strengths=()), "sweep needs at least one bias strength"),
+    (lambda t4: bias_config(strategies=(Strategy.COMBINED,)),
+     "combined strategy needs alpha values"),
+    (lambda t4: bias_config(strategies=(Strategy.CLICK_BIAS, Strategy.COMBINED),
+                            bias_strengths=(1.0, 2.0), alpha_values=(0.5,)),
+     "combined strategy needs bias strengths > 1"),
+    (lambda t4: sweep(t4, bias_config(), workers=0), "workers must be at least 1"),
+    (lambda t4: bin_by_degree_ratio([make_record(1.0, 0.1)], n_bins=0),
+     "n_bins must be at least 1"),
+    (lambda t4: bin_by_degree_ratio([make_record(math.inf, 0.1)]),
+     "no finite degree ratios to bin"),
+])
+def test_experiment_rejects_invalid_values(t4, make, message):
+    with pytest.raises(ValidationError) as err:
+        make(t4)
+    assert message in str(err.value)
+
+
+def test_only_the_combined_strategy_rejects_b_one():
+    pure = (Strategy.CLICK_BIAS, Strategy.LINK_INSERTION)
+    assert bias_config(strategies=pure, bias_strengths=(1.0,)).bias_strengths == (1.0,)
+
+
+def test_jsonl_writes_an_infinite_degree_ratio_as_inf(tmp_path):
+    path = tmp_path / "runs.jsonl"
+    write_records_jsonl([make_record(math.inf, 0.2), make_record(2.0, 0.3)], path)
+    rows = [json.loads(line) for line in path.read_text().splitlines()]
+    assert [r["degree_ratio"] for r in rows] == ["inf", 2.0]

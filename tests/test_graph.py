@@ -9,6 +9,7 @@ from scipy.sparse import csc_array
 from navsteer import (
     EdgeListParseError,
     EmptyGraphError,
+    ValidationError,
     WeightedDigraph,
     __version__,
     click_bias,
@@ -282,3 +283,24 @@ def test_constructor_sums_duplicates_and_sorts():
     assert a.indices.tolist() == [1, 2, 2, 0]
     assert a.indptr.tolist() == [0, 2, 3, 4]
     assert a.data.tolist() == [2.0, 4.0, 4.0, 5.0]
+
+
+def _adjacency(rows, cols, data, n=2):
+    return csc_array((np.asarray(data, dtype=np.float64), (rows, cols)), shape=(n, n))
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: WeightedDigraph(3, _adjacency([0], [1], [1.0])), "does not match n=3"),
+    (lambda: WeightedDigraph(2, _adjacency([0], [1], [1.0]), node_labels=("a",)),
+     "node_labels length does not match n"),
+    (lambda: WeightedDigraph(2, _adjacency([0], [1], [np.inf])), "must be finite"),
+    (lambda: WeightedDigraph(2, _adjacency([0, 1], [1, 0], [1.0, 0.0])),
+     "must be positive"),
+    (lambda: WeightedDigraph(2, _adjacency([0, 1], [1, 1], [1.0, 1.0])),
+     "must not contain self-loops"),
+    (lambda: WeightedDigraph.from_edges(3, [0, 1], [1]), "must have equal length"),
+])
+def test_graph_rejects_invalid_values(make, message):
+    with pytest.raises(ValidationError) as err:
+        make()
+    assert message in str(err.value)

@@ -73,3 +73,14 @@ def test_target_metrics_composes(t4):
     assert m.in_degree == 1.0
     assert m.out_degree == 1.0
     assert m.degree_ratio == 1.0
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda t4: energy(np.full(3, 1 / 3), np.ones(4)), "pi and t must have the same length"),
+    (lambda t4: target_degrees(t4, np.ones(3)),
+     "target vector length must equal the node count"),
+])
+def test_metrics_rejects_invalid_values(t4, make, message):
+    with pytest.raises(ValidationError) as err:
+        make(t4)
+    assert message in str(err.value)

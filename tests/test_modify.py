@@ -555,3 +555,28 @@ def test_modification_spec_validation():
     spec = ModificationSpec(strategy="bias", bias_strength=2.0)
     assert spec.strategy is Strategy.CLICK_BIAS
 
+
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: ModificationSpec(Strategy.COMBINED, 2.0, alpha=0.5), "needs an RNG seed"),
+    (lambda: ModificationSpec(Strategy.CLICK_BIAS, 2.0, seed=1),
+     "seed only applies to the combined strategy"),
+    (lambda: ModificationSpec(Strategy.COMBINED, 1.0, alpha=0.5, seed=1),
+     "combined strategy needs bias strength > 1"),
+    (lambda: LinkBudget(inserted_count=-1, biased_weight=0.0, parallel_inserted=0),
+     "cannot be negative"),
+    (lambda: click_bias(make_t4(), np.ones(3), 2.0),
+     "target vector length must equal the node count"),
+    (lambda: click_bias(make_t4(), np.zeros(4), 2.0), "target vector selects no nodes"),
+    (lambda: insert_links(make_t4(), T1, np.full(3, 1 / 3), 1),
+     "pi length must equal the node count"),
+    (lambda: insert_links(make_t4(), T1, np.array([np.nan, 0.5, 0.25, 0.25]), 1),
+     "pi must be finite and non-negative"),
+    (lambda: combine(make_t4(), T1, T4_PI, 2.0, 1.5, np.random.default_rng(0)),
+     "alpha must lie in [0, 1], got 1.5"),
+])
+def test_modify_rejects_invalid_values(make, message):
+    with pytest.raises(ValidationError) as err:
+        make()
+    assert message in str(err.value)

@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from navsteer import (
+    EmptyGraphError,
     TargetSet,
     ValidationError,
+    WeightedDigraph,
     sample_target_sets,
     target_set_size,
     target_vector,
@@ -131,3 +133,18 @@ def test_write_targets_csv(tmp_path):
     first = lines[1].split(",")
     assert first[0] == "0"
     assert first[2] == g.node_labels[int(first[1])]
+
+
+@pytest.mark.parametrize("make, error, message", [
+    (lambda: sample_target_sets(make_t4(), 0.5, 0, 1), ValidationError,
+     "n_samples must be at least 1"),
+    (lambda: sample_target_sets(WeightedDigraph.from_edges(0, [], []), 0.5, 1, 1),
+     EmptyGraphError, "cannot sample targets from an empty graph"),
+    (lambda: target_vector((), 4), ValidationError,
+     "target vector needs at least one member"),
+    (lambda: derive_seed(1, [2]), TypeError, "cannot derive entropy from list"),
+])
+def test_targets_and_seeds_reject_invalid_values(make, error, message):
+    with pytest.raises(error) as err:
+        make()
+    assert message in str(err.value)
