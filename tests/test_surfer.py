@@ -34,7 +34,7 @@ from navsteer.synth import scale_free_graph
 from conftest import T4_PI, dense_stationary, make_t4, random_scc_graph
 
 
-def test_transition_columns_are_csr(t4):
+def test_transition_columns_are_stochastic(t4):
     p = transition_matrix(t4)
     cols = np.asarray(p.entries.todense()).sum(axis=0)
     assert np.allclose(cols, 1.0, atol=1e-15)
