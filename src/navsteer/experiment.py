@@ -69,6 +69,9 @@ class SweepConfig:
     def __post_init__(self):
         object.__setattr__(self, "strategies",
                            tuple(Strategy(s) for s in self.strategies))
+        for name in ("strategies", "phi_values", "bias_strengths", "alpha_values"):
+            if len(set(getattr(self, name))) < len(getattr(self, name)):
+                raise ValidationError(f"{name} must not repeat a value")
         if not self.strategies:
             raise ValidationError("sweep needs at least one strategy")
         if not self.phi_values or not all(0 < p <= 1 for p in self.phi_values):
@@ -267,12 +270,10 @@ def _run_in_worker(task: _Task) -> RunRecord | RunFailure:
 
 def _make_spec(strategy: Strategy, b: float, alpha: float | None,
                master_seed: int, phi: float, sample_id: int) -> ModificationSpec:
-    if strategy is Strategy.COMBINED:
-        seed = derive_seed(master_seed, _COMBINE_STREAM, float(phi),
-                           sample_id, float(b), float(alpha))
-        return ModificationSpec(strategy=strategy, bias_strength=b,
-                                alpha=alpha, seed=seed)
-    return ModificationSpec(strategy=strategy, bias_strength=b)
+    seed = (derive_seed(master_seed, _COMBINE_STREAM, float(phi), sample_id,
+                        float(b), float(alpha))
+            if strategy is Strategy.COMBINED else None)
+    return ModificationSpec(strategy=strategy, bias_strength=b, alpha=alpha, seed=seed)
 
 
 def _enumerate_tasks(g: WeightedDigraph, config: SweepConfig) -> list[_Task]:
@@ -369,10 +370,10 @@ def bin_by_degree_ratio(
 ) -> BinnedSummary:
     """Group runs by target degree ratio and average the modified energy.
 
-    Rows whose ratio is flagged infinite (or undefined) are dropped and
-    counted. If fewer distinct finite ratios than requested bins exist, the
-    bin count shrinks to that number and the reduction is reported in the
-    notice.
+    Both methods bin by the edges they report: bin i holds the ratios in
+    ``[bin_edges[i], bin_edges[i+1])``, the last bin closed. Infinite (or
+    undefined) ratios are dropped and counted. Fewer distinct finite ratios
+    than bins shrink the bin count to theirs, as the notice reports.
     """
     if n_bins < 1:
         raise ValidationError("n_bins must be at least 1")
@@ -395,23 +396,15 @@ def bin_by_degree_ratio(
                   f"reduced bins from {n_bins} to {used_bins}")
         logger.warning("%s", notice)
 
-    lo, hi = float(ratios.min()), float(ratios.max())
     if method == "equal_width":
-        edges = np.linspace(lo, hi, used_bins + 1)
-        if hi > lo:
-            idx = np.minimum(((ratios - lo) / (hi - lo) * used_bins).astype(int),
-                             used_bins - 1)
-        else:
-            idx = np.zeros(ratios.size, dtype=int)
+        edges = np.linspace(ratios.min(), ratios.max(), used_bins + 1)
     else:
         edges = np.quantile(ratios, np.linspace(0.0, 1.0, used_bins + 1))
-        idx = np.minimum(np.searchsorted(edges[1:-1], ratios, side="right"),
-                         used_bins - 1)
+    idx = np.searchsorted(edges[1:-1], ratios, side="right")
 
     counts = np.bincount(idx, minlength=used_bins)
     sums = np.bincount(idx, weights=energies, minlength=used_bins)
-    with np.errstate(invalid="ignore"):
-        means = np.where(counts > 0, sums / np.maximum(counts, 1), np.nan)
+    means = np.where(counts > 0, sums / np.maximum(counts, 1), np.nan)
     return BinnedSummary(method=method, bin_edges=edges,
                          counts=tuple(int(c) for c in counts),
                          mean_energy=means, dropped_infinite=dropped, notice=notice)

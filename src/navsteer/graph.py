@@ -58,13 +58,12 @@ class WeightedDigraph:
                                tuple(map(str, range(self.n))))
         if len(self.node_labels) != self.n:
             raise ValidationError("node_labels length does not match n")
-        if a.nnz:
-            if not np.all(np.isfinite(a.data)):
-                raise ValidationError("adjacency weights must be finite")
-            if np.any(a.data <= 0):
-                raise ValidationError("stored adjacency weights must be positive")
-            if np.any(a.indices == column_of_entries(a)):
-                raise ValidationError("adjacency must not contain self-loops")
+        if not np.all(np.isfinite(a.data)):
+            raise ValidationError("adjacency weights must be finite")
+        if np.any(a.data <= 0):
+            raise ValidationError("stored adjacency weights must be positive")
+        if np.any(a.indices == column_of_entries(a)):
+            raise ValidationError("adjacency must not contain self-loops")
 
     @classmethod
     def from_edges(
@@ -85,7 +84,7 @@ class WeightedDigraph:
              else _as_array(weights, np.float64))
         if not (len(src) == len(dst) == len(w)):
             raise ValidationError("edge arrays must have equal length")
-        if len(w) and (not np.all(np.isfinite(w)) or np.any(w < 0)):
+        if not np.all(np.isfinite(w)) or np.any(w < 0):
             raise ValidationError("edge weights must be finite and non-negative")
         loops = src == dst
         dropped = int(loops.sum())
@@ -292,8 +291,10 @@ def write_edge_list(
 
     The sidecar (``<path>.meta.json``) records the package version, node
     count, total weight and any provenance entries passed by the caller.
-    A graph whose total weight overflows float64 raises
-    :class:`ValidationError` before any file is opened.
+    A total weight past float64 raises :class:`ValidationError` before any
+    file is opened, as does a line the loader would misread: a label empty
+    or holding a tab, CR or LF, a line starting with ``#`` after blanks (a
+    comment), or a first line starting with U+FEFF (a byte-order mark).
 
     Loading the written file gives back the same labels, links and weights;
     nodes without links cannot be written and are left out with a warning.
@@ -312,6 +313,16 @@ def write_edge_list(
     order = _write_order(g.n, src, dst)
     labels = g.node_labels
     src, dst = src[order].tolist(), dst[order].tolist()
+    # one test over all labels spares the per-line loop for almost every graph
+    text = "".join(labels)
+    if not all(labels) or any(c in text for c in "\t\r\n#\ufeff"):
+        for k, (s, d) in enumerate(zip(src, dst)):
+            line = f"{labels[s]}\t{labels[d]}"
+            if (not (labels[s] and labels[d]) or line.count("\t") > 1 or "\r" in line
+                    or "\n" in line or line.lstrip().startswith("#")
+                    or k == 0 and line.startswith("\ufeff")):
+                raise ValidationError(f"cannot write {path}: the link {labels[s]!r} -> "
+                                      f"{labels[d]!r} would not load back")
     wts = _format_weights(a.data[order])
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.writelines(f"{labels[s]}\t{labels[d]}\t{w}\n"

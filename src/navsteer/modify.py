@@ -49,8 +49,7 @@ class ModificationSpec:
     seed: int | None = None
 
     def __post_init__(self):
-        if not isinstance(self.strategy, Strategy):
-            object.__setattr__(self, "strategy", Strategy(self.strategy))
+        object.__setattr__(self, "strategy", Strategy(self.strategy))
         check_bias_strength(self.bias_strength)
         if self.strategy is Strategy.COMBINED:
             if self.alpha is None or not (0.0 <= self.alpha <= 1.0):
@@ -188,9 +187,6 @@ def insert_links(
     full, rem = divmod(budget_count, src.size)
     added = np.full(src.size, float(full))
     added[:rem] += 1.0
-    hit = added > 0
-    src, dst, added = src[hit], dst[hit], added[hit]
-
     addition = coo_array((added, (dst, src)), shape=(g.n, g.n)).tocsc()
     modified = g.with_adjacency(g.adjacency + addition)
 

@@ -189,8 +189,6 @@ def _censor(matrix) -> SolvePlan:
     itype = matrix.indices.dtype
     single = np.bincount(matrix.indices, minlength=n) == 1
     uncensored = SolvePlan(matrix.indptr, matrix.indices, np.zeros(n, dtype=bool))
-    if not single.any():
-        return uncensored
     entry = np.flatnonzero(single[matrix.indices])
     jump = np.arange(n, dtype=itype)
     jump[matrix.indices[entry]] = np.searchsorted(matrix.indptr, entry, side="right") - 1
@@ -202,7 +200,7 @@ def _censor(matrix) -> SolvePlan:
             break
         depth += depth[jump]
         jump = jump[jump]
-    if single[jump].any():
+    if not single.any() or single[jump].any():
         return uncensored
     q = _sum_order(matrix, single, jump)
     if q is None:

@@ -28,6 +28,8 @@ def scale_free_graph(
         raise ValidationError("synthetic graph needs at least 2 nodes")
     if not (math.isfinite(avg_degree) and avg_degree >= 1.0):
         raise ValidationError("avg_degree must be finite and at least 1")
+    if n > (2 ** 31 - 1) / avg_degree:  # exact for any int n, unlike n * avg_degree
+        raise ValidationError("n * avg_degree must not exceed 2**31 - 1 links")
     if not exponent > 1.0:  # nan fails too; inf means uniform popularity
         raise ValidationError("exponent must exceed 1")
     if seed < 0:

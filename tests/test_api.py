@@ -43,6 +43,32 @@ def test_no_module_imports_a_private_name_from_a_sibling():
     assert private == []
 
 
+def _unread_imports(path):
+    """Names a module imports but never reads."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            # "import a.b" binds "a"
+            imported.update(alias.asname or alias.name.partition(".")[0]
+                            for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(alias.asname or alias.name for alias in node.names)
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return sorted(imported - read)
+
+
+def test_every_imported_name_is_read():
+    # no linter is a dependency, so a name whose last use was deleted would
+    # stay imported unnoticed; __init__.py imports names to re-export them
+    src = Path(navsteer.__file__).parent
+    unread = [f"{path.name}: {name}"
+              for path in sorted(src.glob("*.py")) if path.name != "__init__.py"
+              for name in _unread_imports(path)]
+    assert unread == []
+
+
 _PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 

@@ -722,6 +722,17 @@ def test_sweep_combined_at_b_one_exits_before_any_solve(tmp_path, t4_file, capsy
     assert not outdir.exists()
 
 
+def test_sweep_repeated_grid_value_exits_before_any_solve(tmp_path, t4_file, capsys,
+                                                         monkeypatch):
+    _no_solve(monkeypatch)
+    outdir = tmp_path / "out"
+    assert main(["sweep", str(t4_file), "--strategies", "bias",
+                 "--phi-values", "0.1,0.1", "--bias-strengths", "2",
+                 "--samples", "1", "--seed", "1", "--output-dir", str(outdir)]) == 2
+    assert "phi_values must not repeat a value" in capsys.readouterr().err
+    assert not outdir.exists()
+
+
 def test_modify_targets_file_without_labels(tmp_path, t4_file, capsys):
     targets = tmp_path / "targets.txt"
     targets.write_text("# no labels here\n\n   \n")

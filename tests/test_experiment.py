@@ -364,6 +364,49 @@ def test_binning_quantile_method():
     assert summary.counts == (4, 4)
 
 
+def test_equal_width_ratio_on_an_interior_edge_opens_its_bin():
+    ratio_on_edge = np.linspace(0, 0.7, 5)[3]             # 0.5249999999999999
+    records = [make_record(r, 0.1) for r in (0.0, 0.1, 0.3, ratio_on_edge, 0.7)]
+    summary = bin_by_degree_ratio(records, n_bins=4)
+    assert summary.bin_edges[3] == ratio_on_edge
+    assert summary.counts == (2, 1, 0, 2)
+
+
+@pytest.mark.parametrize("method", ["equal_width", "quantile"])
+@pytest.mark.parametrize("ratios", [
+    (0.0, 0.1, 0.3, np.linspace(0, 0.7, 5)[3], 0.7),
+    (1.0, 2.0, 3.0, 4.0, 5.0, 6.0, math.inf),
+    (0.5, 0.5, 0.5, 1.5, 1.5, 1.5, 1.5, 1.5),
+    (0.2, 0.2, 0.2, 0.2, 0.9, 1.3, 2.0),
+    tuple(np.random.default_rng(3).uniform(0.0, 2.0, 41)),
+])
+def test_bins_hold_the_ratios_between_their_edges(method, ratios):
+    records = [make_record(r, k / 100) for k, r in enumerate(ratios)]
+    summary = bin_by_degree_ratio(records, n_bins=4, method=method)
+    r = np.array(ratios)
+    energy = np.arange(r.size) / 100
+    edges, last = summary.bin_edges, len(summary.counts) - 1
+    assert len(edges) == last + 2
+    for i, count in enumerate(summary.counts):
+        below_top = r <= edges[i + 1] if i == last else r < edges[i + 1]
+        inside = (edges[i] <= r) & below_top
+        assert count == inside.sum()
+        if count:
+            assert summary.mean_energy[i] == pytest.approx(energy[inside].mean())
+    assert sum(summary.counts) == np.isfinite(r).sum()
+
+
+@pytest.mark.parametrize("field, values", [
+    ("strategies", ("bias", Strategy.CLICK_BIAS)),
+    ("phi_values", (0.1, 0.1)),
+    ("bias_strengths", (2.0, 2.0)),
+    ("alpha_values", (0.5, 0.5)),
+])
+def test_sweep_config_rejects_a_repeated_grid_value(field, values):
+    with pytest.raises(ValidationError, match=f"{field} must not repeat a value"):
+        bias_config(**{field: values})
+
+
 def test_binning_rejects_unknown_method():
     with pytest.raises(ValidationError):
         bin_by_degree_ratio([make_record(1.0, 0.1)], method="log")

@@ -166,6 +166,50 @@ def test_write_omits_linkless_nodes_with_warning(tmp_path, caplog):
     assert load_edge_list(path).node_labels == ("a", "c")
 
 
+def _two_sources_one_sink(labels):
+    # links 0 -> 1, 1 -> 0 and 1 -> 2: page 2 is only a destination
+    return WeightedDigraph.from_edges(3, [0, 1, 1], [1, 0, 2], [1.0, 2.5, 3.0],
+                                      node_labels=labels)
+
+
+@pytest.mark.parametrize("labels", [
+    ("#x", "d", "e"),          # a comment line: the reload would drop its link
+    (" #x", "d", "e"),
+    ("c", " ", "#x"),          # " \t#x" starts with # after blanks too
+    ("c", "", "e"),
+    ("c", "d\te", "f"),
+    ("c", "d\re", "f"),
+    ("c", "d\ne", "f"),
+    ("\ufeffc", "d", "e"),     # the loader drops a byte-order mark on line 1
+])
+def test_write_rejects_a_line_that_would_not_load_back(tmp_path, labels):
+    with pytest.raises(ValidationError, match="would not load back"):
+        write_edge_list(_two_sources_one_sink(labels), tmp_path / "g.tsv")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("labels", [
+    ("a", "b", "#x"),           # # only at the start of a destination
+    ("a", "b", " #x"),
+    ("a", " ", "b#"),           # a blank label before a destination without #
+    ("a", "\ufeffb", "c#"),     # a byte-order mark off the first line
+])
+def test_write_keeps_labels_that_load_back(tmp_path, labels):
+    g = _two_sources_one_sink(labels)
+    path = tmp_path / "g.tsv"
+    write_edge_list(g, path)
+    g2 = load_edge_list(path)
+    assert g2.node_labels == labels
+    assert (g.adjacency != g2.adjacency).nnz == 0
+
+
+def test_write_ignores_the_label_of_an_omitted_linkless_node(tmp_path):
+    g = WeightedDigraph.from_edges(3, [0, 1], [1, 0], node_labels=("a", "b", ""))
+    path = tmp_path / "g.tsv"
+    write_edge_list(g, path)
+    assert load_edge_list(path).node_labels == ("a", "b")
+
+
 def test_write_emits_metadata_sidecar(tmp_path, t4):
     import json
     path = tmp_path / "t4.tsv"

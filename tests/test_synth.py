@@ -69,6 +69,8 @@ def test_in_weight_is_heavy_tailed():
     {"n": 10, "avg_degree": float("inf")},
     {"n": 10, "exponent": float("nan")},
     {"n": 10, "seed": -1},
+    {"n": 10, "avg_degree": 1e300},
+    {"n": 10, "avg_degree": 1e12},
 ])
 def test_parameter_validation(kwargs):
     with pytest.raises(ValidationError):
@@ -90,4 +92,13 @@ def test_cli_rejects_bad_parameters_without_writing(tmp_path, capsys, option):
     out = tmp_path / "out.tsv"
     assert main(["synth", str(out), "-n", "50", *option]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("avg_degree", ["1e300", "1e12"])
+def test_cli_rejects_more_links_than_int32_indices_hold(tmp_path, capsys, avg_degree):
+    # 1e300 overflowed a float-to-int conversion, 1e12 asked numpy for 72.8 TiB
+    out = tmp_path / "s.tsv"
+    assert main(["synth", str(out), "-n", "10", "--avg-degree", avg_degree]) == 2
+    assert "must not exceed 2**31 - 1 links" in capsys.readouterr().err
     assert not out.exists()
