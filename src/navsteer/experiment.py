@@ -307,7 +307,9 @@ def sweep(g: WeightedDigraph, config: SweepConfig, workers: int = 1) -> SweepRes
 
     Output is identical for any ``workers`` value: substream seeds depend
     only on run keys and results are gathered in enumeration order. No more
-    processes start than there are runs or CPUs.
+    processes start than there are runs or CPUs. A pool takes the runs one
+    at a time in reverse enumeration order, which puts the costliest (link
+    insertion, and the largest phi) first.
     """
     if workers < 1:
         raise ValidationError("workers must be at least 1")
@@ -322,9 +324,10 @@ def sweep(g: WeightedDigraph, config: SweepConfig, workers: int = 1) -> SweepRes
     else:
         pool = concurrent.futures.ProcessPoolExecutor(
             max_workers=workers, initializer=_init_worker, initargs=(context,))
+        # the grid ends with its slowest runs: hand them out first, one at a
+        # time, so the runs handed out last are short ones
         with pool:
-            chunk = max(1, len(tasks) // (workers * 8))
-            outcomes = list(pool.map(_run_in_worker, tasks, chunksize=chunk))
+            outcomes = list(pool.map(_run_in_worker, tasks[::-1], chunksize=1))[::-1]
     records: list[RunRecord] = []
     failures: list[RunFailure] = []
     for outcome in outcomes:

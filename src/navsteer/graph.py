@@ -294,7 +294,8 @@ def write_edge_list(
     A total weight past float64 raises :class:`ValidationError` before any
     file is opened, as does a line the loader would misread: a label empty
     or holding a tab, CR or LF, a line starting with ``#`` after blanks (a
-    comment), or a first line starting with U+FEFF (a byte-order mark).
+    comment), a first line starting with U+FEFF (a byte-order mark), or a
+    label that UTF-8 cannot encode (a lone surrogate).
 
     Loading the written file gives back the same labels, links and weights;
     nodes without links cannot be written and are left out with a warning.
@@ -315,6 +316,12 @@ def write_edge_list(
     src, dst = src[order].tolist(), dst[order].tolist()
     # one test over all labels spares the per-line loop for almost every graph
     text = "".join(labels)
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        label = next(x for x in labels if exc.object[exc.start] in x)
+        raise ValidationError(f"cannot write {path}: the label {label!r} "
+                              "is not encodable as UTF-8") from None
     if not all(labels) or any(c in text for c in "\t\r\n#\ufeff"):
         for k, (s, d) in enumerate(zip(src, dst)):
             line = f"{labels[s]}\t{labels[d]}"

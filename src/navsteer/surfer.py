@@ -145,11 +145,11 @@ class SolvePlan:
 
     - P's ``indptr`` and ``indices``, the links it was built for;
     - ``single``, the mask of the pages censored out;
-    - Q's ``q_indptr`` and ``q_indices``, and how Q's data is summed from
-      P's: entry k of Q starts as P's entry ``q_first[k]``, then P's entry
-      ``p_tail[i]`` is added to Q's entry ``q_tail[i]`` for i = 0, 1, ...
-      in turn, which sums each entry's links in the order scipy sums
-      duplicate links;
+    - Q's ``q_indptr`` and ``q_indices`` in CSC form, and how Q's data is
+      summed from P's: entry k of Q (numbered column by column) starts as
+      P's entry ``q_first[k]``, then P's entry ``p_tail[i]`` is added to
+      Q's entry ``q_tail[i]`` for i = 0, 1, ... in turn, which sums each
+      entry's links in the order scipy sums duplicate links;
     - ``levels``, the censored pages by their number of links to the first
       page of S, farthest first, so each level needs only pages already
       recovered; a level is ``(pages, entries, row_ptr)``, its rows of P
@@ -211,7 +211,7 @@ def _censor(matrix) -> SolvePlan:
 
 def _sum_order(matrix, single, jump):
     """``(q_indptr, q_indices, q_first, q_tail, p_tail)`` of a
-    :class:`SolvePlan`, or None when Q is periodic.
+    :class:`SolvePlan`, Q in CSC form, or None when Q is periodic.
 
     Each stored link keeps its weight, its target moves to the target's
     jump, and links out of censored pages are dropped.
@@ -246,8 +246,17 @@ def _sum_order(matrix, single, jump):
     # an entry's other links follow its first in scipy's order
     first, tail = np.flatnonzero(starts), np.flatnonzero(~starts)
     q_indptr = np.concatenate((np.zeros(1, itype), q_count))[probe.indptr]
-    return (q_indptr, probe.indices[first], gather[first],
-            q_count[tail] - 1, gather[tail])
+    q_indices, q_first = probe.indices[first], gather[first]
+    q_tail, p_tail = q_count[tail] - 1, gather[tail]
+    # lowers the build's peak memory, as for order
+    del probe, rows, gather, starts, q_count, first, tail
+    # renumber Q's entries column by column: entry k of the CSC form holds
+    # its number in the CSR form
+    q = csr_array((np.arange(q_first.size, dtype=itype), q_indices, q_indptr),
+                  shape=(m, m)).tocsc()
+    renumber = np.empty(q.nnz, dtype=itype)
+    renumber[q.data] = np.arange(q.nnz, dtype=itype)
+    return q.indptr, q.indices, q_first[q.data], renumber[q_tail], p_tail
 
 
 def _levels(matrix, single, depth):
@@ -276,7 +285,7 @@ def _censored(plan: SolvePlan, matrix):
     # unbuffered, in index order: (a + b) + c, as scipy sums
     np.add.at(data, plan.q_tail, matrix.data[plan.p_tail])
     m = plan.q_indptr.size - 1
-    return csr_array((data, plan.q_indices, plan.q_indptr), shape=(m, m))
+    return csc_array((data, plan.q_indices, plan.q_indptr), shape=(m, m))
 
 
 def _recover(plan: SolvePlan, matrix, y):

@@ -214,6 +214,49 @@ def test_sweep_starts_no_more_workers_than_runs_or_cpus(
     assert a.read_bytes() == b.read_bytes()
 
 
+class _RecordingPool(_InlinePool):
+    """An :class:`_InlinePool` that also records what ``map`` is given."""
+
+    mapped: list = []
+
+    def map(self, fn, tasks, chunksize):
+        self.mapped.append((list(tasks), chunksize))
+        return super().map(fn, tasks, chunksize)
+
+
+def _key(run):
+    return run.strategy, run.phi, run.sample_id, run.b, run.alpha
+
+
+def _task_key(task):
+    spec = task.spec
+    return (spec.strategy.value, task.phi, task.targets.sample_id, spec.bias_strength,
+            spec.alpha)
+
+
+def test_pool_takes_the_runs_in_reverse_order_one_at_a_time(t4, monkeypatch):
+    import concurrent.futures
+    import os
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(_RecordingPool, "mapped", [])
+    config = bias_config(strategies=(Strategy.CLICK_BIAS, Strategy.LINK_INSERTION),
+                         phi_values=(0.25, 0.5), bias_strengths=(1.05, 2.0),
+                         samples_per_phi=2)
+    keys = [_task_key(t) for t in experiment._enumerate_tasks(t4, config)]
+    result = sweep(t4, config, workers=2)
+    [(sent, chunksize)] = _RecordingPool.mapped
+    assert chunksize == 1
+    assert [_task_key(t) for t in sent] == keys[::-1]
+    # records and the failure manifest (b = 1.05 rounds some insertion
+    # budgets to zero) each keep enumeration order
+    assert result.failures and len(result.records) + len(result.failures) == len(keys)
+    for runs in (result.records, result.failures):
+        ranks = [keys.index(_key(run)) for run in runs]
+        assert ranks == sorted(ranks)
+
+
 def test_sweep_isolates_run_failures(t4):
     # b = 1.05 on a single-in-link target rounds the insertion budget to
     # zero, which insert_links rejects; the bias runs must still complete

@@ -188,6 +188,13 @@ def test_write_rejects_a_line_that_would_not_load_back(tmp_path, labels):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_write_rejects_a_label_utf8_cannot_encode(tmp_path):
+    g = WeightedDigraph.from_edges(2, [0, 1], [1, 0], node_labels=("a", "\ud800"))
+    with pytest.raises(ValidationError, match=r"label '\\ud800' is not encodable"):
+        write_edge_list(g, tmp_path / "g.tsv")
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("labels", [
     ("a", "b", "#x"),           # # only at the start of a destination
     ("a", "b", " #x"),

@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.sparse import csr_array
+from scipy.sparse import csc_array, csr_array
 
 from navsteer import (
     ConvergenceError,
@@ -583,23 +583,67 @@ def test_duplicate_links_sum_in_scipys_order():
     plan = surfer._censor(p.entries)
     q = surfer._censored(plan, p.entries)
     old_q, _ = _old_censor(p.entries)
-    # P's links summed into each Q entry, in the plan's order
+    # P's links summed into each Q entry (numbered column by column), in
+    # the plan's order
     summed = [[e] for e in plan.q_first.tolist()]
     for k, e in zip(plan.q_tail.tolist(), plan.p_tail.tolist()):
         summed[k].append(e)
     # 4 links merge into each entry of a row of 48 links, where
     # csr_sort_indices runs an introsort that leaves ties out of P's order
     assert max(len(links) for links in summed) >= 3
-    assert max(np.add.reduceat([len(links) for links in summed], q.indptr[:-1])) > 16
+    assert max(np.bincount(q.indices, [len(links) for links in summed])) > 16
     assert any(links != sorted(links) for links in summed)
-    assert q.indptr.tobytes() == old_q.indptr.tobytes()
-    assert q.indices.tobytes() == old_q.indices.tobytes()
-    assert q.data.tobytes() == old_q.data.tobytes()
+    q_rows = csr_array(q)
+    assert q_rows.indptr.tobytes() == old_q.indptr.tobytes()
+    assert q_rows.indices.tobytes() == old_q.indices.tobytes()
+    assert q_rows.data.tobytes() == old_q.data.tobytes()
     assert _outcome(stationary, p) == _outcome(_old_stationary, p)
     # summing in P's order would move bytes, so this graph tells the orders apart
     in_p_order = [sum(p.entries.data[sorted(links)[1:]], p.entries.data[min(links)])
                   for links in summed]
-    assert np.array(in_p_order).tobytes() != old_q.data.tobytes()
+    assert np.array(in_p_order).tobytes() != q.data.tobytes()
+
+
+def _owned_arrays(plan):
+    """The index arrays a plan holds besides P's ``indptr`` and ``indices``."""
+    q = (plan.q_indptr, plan.q_indices, plan.q_first, plan.q_tail, plan.p_tail)
+    return [a for a in q if a is not None] + [a for level in plan.levels for a in level]
+
+
+def _assert_csc_q_is_the_old_q(g, seed):
+    p = transition_matrix(g)
+    plan = surfer._censor(p.entries)
+    assert all(a.dtype == p.entries.indices.dtype for a in _owned_arrays(plan))
+    # Q from the baseline's weights, and from new weights on the same links
+    for chain in (p, transition_matrix(_reweighted(g, seed))):
+        q, (old_q, _) = surfer._censored(plan, chain.entries), _old_censor(chain.entries)
+        if plan.q_first is None:
+            assert q is chain.entries and old_q is chain.entries
+            continue
+        assert isinstance(q, csc_array) and q.has_canonical_format
+        q_rows = q.tocsr()
+        assert q_rows.indptr.tobytes() == old_q.indptr.tobytes()
+        assert q_rows.indices.tobytes() == old_q.indices.tobytes()
+        assert q_rows.data.tobytes() == old_q.data.tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(censorable_graphs(), st.integers(0, 2**32 - 1))
+def test_censored_chain_is_the_old_q_in_csc_form(g, seed):
+    _assert_csc_q_is_the_old_q(g, seed)
+
+
+@pytest.mark.parametrize("make", [
+    _censored_periodic_graph, _deep_chain_graph, _pure_cycle_graph, make_t4,
+    _multi_link_graph, _merged_links_graph, _period_three_graph, _period_two_graph])
+def test_censored_chain_is_the_old_q_in_csc_form_on_fixed_examples(make):
+    _assert_csc_q_is_the_old_q(make(), 5)
+
+
+def test_plan_arrays_do_not_grow():
+    # the baseline's plan is held for a whole sweep
+    plan = surfer._censor(transition_matrix(scale_free_graph(50_000, seed=1)).entries)
+    assert plan.single.nbytes + sum(a.nbytes for a in _owned_arrays(plan)) <= 1_052_724
 
 
 def _synth_run(seed=2):
