@@ -53,12 +53,10 @@ from .targets import (
 )
 from .experiment import (
     CSV_HEADER,
-    BinnedSummary,
     RunFailure,
     RunRecord,
     SweepConfig,
     SweepResult,
-    bin_by_degree_ratio,
     run_single_detailed,
     sweep,
     write_records_csv,
@@ -68,7 +66,6 @@ from .synth import scale_free_graph
 
 __all__ = [
     "CSV_HEADER",
-    "BinnedSummary",
     "ConvergenceError",
     "DanglingNodeError",
     "EdgeListParseError",
@@ -91,7 +88,6 @@ __all__ = [
     "ValidationError",
     "WeightedDigraph",
     "apply_modification",
-    "bin_by_degree_ratio",
     "click_bias",
     "combine",
     "energy",

@@ -159,14 +159,14 @@ def cmd_modify(args) -> int:
                             alpha=args.alpha,
                             seed=derive_seed(seed, "combine") if combined else None)
 
+    outdir = Path(args.output_dir)
+    outdir.mkdir(parents=True, exist_ok=True)
     stem = Path(args.input).stem
     record, modified = run_single_detailed(
         g, ts, spec,
         tolerance=args.tolerance, max_iterations=args.max_iterations,
         graph_id=stem, phi=args.phi)
 
-    outdir = Path(args.output_dir)
-    outdir.mkdir(parents=True, exist_ok=True)
     out_graph = outdir / f"{stem}.modified.tsv"
     write_edge_list(modified, out_graph, metadata={
         "input": str(args.input),
@@ -257,10 +257,10 @@ def cmd_sweep(args) -> int:
     g, _, provenance = _prepare_graph(args.input, args.strict)
     stem = Path(args.input).stem
     config = _build_sweep_config(args, stem)
-    result = sweep(g, config, workers=args.workers)
-
     outdir = Path(args.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
+    result = sweep(g, config, workers=args.workers)
+
     if args.format == "json-lines":
         out_records = outdir / f"{stem}.runs.jsonl"
         write_records_jsonl(result.records, out_records)

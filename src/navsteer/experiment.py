@@ -20,8 +20,6 @@ from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Iterable, Sequence
 
-import numpy as np
-
 from .errors import ValidationError
 from .graph import WeightedDigraph
 from .metrics import target_metrics
@@ -142,18 +140,6 @@ class RunFailure:
 class SweepResult:
     records: list[RunRecord]
     failures: list[RunFailure]
-
-
-@dataclass(frozen=True)
-class BinnedSummary:
-    """Mean modified energy grouped by target degree ratio."""
-
-    method: str
-    bin_edges: np.ndarray
-    counts: tuple[int, ...]
-    mean_energy: np.ndarray
-    dropped_infinite: int
-    notice: str | None = None
 
 
 def _hash_members(members: Sequence[int]) -> str:
@@ -364,50 +350,3 @@ def write_records_jsonl(records: Iterable[RunRecord], path: str | Path) -> None:
             if math.isinf(d["degree_ratio"]):
                 d["degree_ratio"] = "inf"
             fh.write(json.dumps(d, sort_keys=True) + "\n")
-
-
-def bin_by_degree_ratio(
-    records: Sequence[RunRecord],
-    n_bins: int = 6,
-    method: str = "equal_width",
-) -> BinnedSummary:
-    """Group runs by target degree ratio and average the modified energy.
-
-    Both methods bin by the edges they report: bin i holds the ratios in
-    ``[bin_edges[i], bin_edges[i+1])``, the last bin closed. Infinite (or
-    undefined) ratios are dropped and counted. Fewer distinct finite ratios
-    than bins shrink the bin count to theirs, as the notice reports.
-    """
-    if n_bins < 1:
-        raise ValidationError("n_bins must be at least 1")
-    if method not in ("equal_width", "quantile"):
-        raise ValidationError(f"unknown binning method {method!r}")
-    ratios = np.array([r.degree_ratio for r in records], dtype=np.float64)
-    energies = np.array([r.pi_t_prime for r in records], dtype=np.float64)
-    finite = np.isfinite(ratios)
-    dropped = int((~finite).sum())
-    ratios, energies = ratios[finite], energies[finite]
-    if ratios.size == 0:
-        raise ValidationError("no finite degree ratios to bin")
-
-    distinct = np.unique(ratios)
-    notice = None
-    used_bins = n_bins
-    if distinct.size < n_bins:
-        used_bins = int(distinct.size)
-        notice = (f"only {distinct.size} distinct ratio values; "
-                  f"reduced bins from {n_bins} to {used_bins}")
-        logger.warning("%s", notice)
-
-    if method == "equal_width":
-        edges = np.linspace(ratios.min(), ratios.max(), used_bins + 1)
-    else:
-        edges = np.quantile(ratios, np.linspace(0.0, 1.0, used_bins + 1))
-    idx = np.searchsorted(edges[1:-1], ratios, side="right")
-
-    counts = np.bincount(idx, minlength=used_bins)
-    sums = np.bincount(idx, weights=energies, minlength=used_bins)
-    means = np.where(counts > 0, sums / np.maximum(counts, 1), np.nan)
-    return BinnedSummary(method=method, bin_edges=edges,
-                         counts=tuple(int(c) for c in counts),
-                         mean_energy=means, dropped_infinite=dropped, notice=notice)

@@ -67,19 +67,13 @@ class ModificationSpec:
 
 @dataclass(frozen=True)
 class LinkBudget:
-    """Accounting of the weight a modification added to the graph.
-
-    ``parallel_inserted`` counts inserted unit links that landed on an
-    already-present link (pre-existing or placed earlier in the same
-    operation, which covers wrap-around passes).
-    """
+    """Accounting of the weight a modification added to the graph."""
 
     inserted_count: int
     biased_weight: float
-    parallel_inserted: int
 
     def __post_init__(self):
-        if min(self.inserted_count, self.biased_weight, self.parallel_inserted) < 0:
+        if min(self.inserted_count, self.biased_weight) < 0:
             raise ValidationError("budget weights and counts cannot be negative")
 
     @property
@@ -149,7 +143,7 @@ def insert_links(
     t: np.ndarray,
     pi_original: np.ndarray,
     budget_count: int,
-) -> tuple[WeightedDigraph, LinkBudget]:
+) -> WeightedDigraph:
     """Insert ``budget_count`` unit links from popular pages to the targets.
 
     Sources are the top ceil(budget_count / |targets|) nodes by original
@@ -188,16 +182,7 @@ def insert_links(
     added = np.full(src.size, float(full))
     added[:rem] += 1.0
     addition = coo_array((added, (dst, src)), shape=(g.n, g.n)).tocsc()
-    modified = g.with_adjacency(g.adjacency + addition)
-
-    # a placement is parallel unless it is the first on a pair that was not
-    # stored before; weights stay positive, so those pairs are the new nnz
-    budget = LinkBudget(
-        inserted_count=budget_count,
-        biased_weight=0.0,
-        parallel_inserted=budget_count - (modified.edge_count() - g.edge_count()),
-    )
-    return modified, budget
+    return g.with_adjacency(g.adjacency + addition)
 
 
 def _top(pi: np.ndarray, k: int) -> np.ndarray:
@@ -277,21 +262,11 @@ def combine(
     k = int(np.argmax(np.append(stops, True)))
     consumed = float(spent[k])
 
-    partially_modified = _biased(g, pos[order[:k]], b)
-    insert_count = round_half_up(l_b - consumed)
-    if insert_count >= 1:
-        modified, ins = insert_links(partially_modified, t, pi, insert_count)
-        parallel = ins.parallel_inserted
-    else:
-        modified, parallel = partially_modified, 0
-        insert_count = 0
-
-    budget = LinkBudget(
-        inserted_count=insert_count,
-        biased_weight=consumed,
-        parallel_inserted=parallel,
-    )
-    return modified, budget
+    modified = _biased(g, pos[order[:k]], b)
+    insert_count = max(round_half_up(l_b - consumed), 0)
+    if insert_count:
+        modified = insert_links(modified, t, pi, insert_count)
+    return modified, LinkBudget(inserted_count=insert_count, biased_weight=consumed)
 
 
 def apply_modification(
@@ -308,11 +283,10 @@ def apply_modification(
     b = spec.bias_strength
     if spec.strategy is Strategy.CLICK_BIAS:
         l_b = weight_budget(g, t, b)
-        modified = click_bias(g, t, b)
-        return modified, LinkBudget(inserted_count=0, biased_weight=l_b,
-                                    parallel_inserted=0)
+        return click_bias(g, t, b), LinkBudget(inserted_count=0, biased_weight=l_b)
     if spec.strategy is Strategy.LINK_INSERTION:
         count = round_half_up(weight_budget(g, t, b))
-        return insert_links(g, t, pi, count)
+        modified = insert_links(g, t, pi, count)
+        return modified, LinkBudget(inserted_count=count, biased_weight=0.0)
     rng = np.random.default_rng(spec.seed)
     return combine(g, t, pi, b, spec.alpha, rng)

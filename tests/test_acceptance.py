@@ -155,7 +155,8 @@ def test_criterion_04_budget_accounting_exact():
             violations += 1
             continue
         count = round_half_up(l_b)
-        inserted, budget = insert_links(g, t, pi, count)
+        inserted, budget = apply_modification(
+            g, ModificationSpec(Strategy.LINK_INSERTION, b), t, pi)
         if weight_delta(g, inserted) != float(count):
             violations += 1
         elif np.any(inserted.adjacency.diagonal() != 0.0):
@@ -186,8 +187,7 @@ def test_criterion_05_combination_endpoints_exact():
 
         all_insert, _ = combine(g, t, pi, b=b, alpha=0.0,
                                 rng=np.random.default_rng(1))
-        pure_insert, _ = insert_links(g, t, pi,
-                                      round_half_up(weight_budget(g, t, b)))
+        pure_insert = insert_links(g, t, pi, round_half_up(weight_budget(g, t, b)))
         assert (all_insert.adjacency != pure_insert.adjacency).nnz == 0
         assert np.array_equal(all_insert.adjacency.data,
                               pure_insert.adjacency.data)

@@ -69,6 +69,25 @@ def test_every_imported_name_is_read():
     assert unread == []
 
 
+def _read_names(path):
+    """Every name a module reads, bare or as an attribute."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            yield node.attr
+
+
+def test_every_public_name_is_read_by_the_package():
+    # a public name that only tests call is either used or deleted;
+    # __init__.py only re-exports
+    src = Path(navsteer.__file__).parent
+    read = {name for path in src.glob("*.py") if path.name != "__init__.py"
+            for name in _read_names(path)}
+    assert sorted(set(navsteer.__all__) - read) == []
+
+
 _PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 

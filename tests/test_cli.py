@@ -733,6 +733,21 @@ def test_sweep_repeated_grid_value_exits_before_any_solve(tmp_path, t4_file, cap
     assert not outdir.exists()
 
 
+@pytest.mark.parametrize("command", [
+    ["modify", "--strategy", "bias", "--bias-strength", "2", "--targets", "p1"],
+    ["sweep", "--strategies", "bias", "--phi-values", "0.25",
+     "--bias-strengths", "2", "--samples", "1", "--seed", "1"],
+])
+def test_output_dir_under_a_file_exits_before_any_solve(tmp_path, t4_file, capsys,
+                                                        monkeypatch, command):
+    _no_solve(monkeypatch)
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    assert main([command[0], str(t4_file), *command[1:],
+                 "--output-dir", str(blocker / "out")]) == 2
+    assert str(blocker / "out") in capsys.readouterr().err
+
+
 def test_modify_targets_file_without_labels(tmp_path, t4_file, capsys):
     targets = tmp_path / "targets.txt"
     targets.write_text("# no labels here\n\n   \n")

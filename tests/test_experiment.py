@@ -1,4 +1,4 @@
-"""Sweep orchestration, record serialization, binning."""
+"""Sweep orchestration and record serialization."""
 
 import json
 import math
@@ -11,7 +11,6 @@ from navsteer import (
     RunRecord,
     SweepConfig,
     ValidationError,
-    bin_by_degree_ratio,
     lorenz_curve,
     run_single_detailed,
     stationary,
@@ -375,70 +374,6 @@ def make_record(ratio, energy_after, strategy="insert", b=5.0):
         wall_time_ms=0.0, target_hash="0" * 16)
 
 
-def test_binning_one_record_per_bin():
-    records = [make_record(r, r / 10) for r in (1, 2, 3, 4, 5, 6)]
-    summary = bin_by_degree_ratio(records, n_bins=6)
-    assert summary.counts == (1,) * 6
-    assert np.allclose(summary.mean_energy, [0.1, 0.2, 0.3, 0.4, 0.5, 0.6])
-    assert summary.dropped_infinite == 0
-    assert summary.notice is None
-
-
-def test_binning_degenerate_range():
-    records = [make_record(2.0, 0.3) for _ in range(5)]
-    summary = bin_by_degree_ratio(records, n_bins=6)
-    assert len(summary.counts) == 1
-    assert summary.counts[0] == 5
-    assert summary.notice is not None
-
-
-def test_binning_drops_infinite_ratios():
-    records = [make_record(1.0, 0.1), make_record(math.inf, 0.9),
-               make_record(3.0, 0.3)]
-    summary = bin_by_degree_ratio(records, n_bins=2)
-    assert summary.dropped_infinite == 1
-    assert sum(summary.counts) == 2
-
-
-def test_binning_quantile_method():
-    records = [make_record(float(r), r / 10) for r in range(1, 9)]
-    summary = bin_by_degree_ratio(records, n_bins=2, method="quantile")
-    assert summary.method == "quantile"
-    assert summary.counts == (4, 4)
-
-
-def test_equal_width_ratio_on_an_interior_edge_opens_its_bin():
-    ratio_on_edge = np.linspace(0, 0.7, 5)[3]             # 0.5249999999999999
-    records = [make_record(r, 0.1) for r in (0.0, 0.1, 0.3, ratio_on_edge, 0.7)]
-    summary = bin_by_degree_ratio(records, n_bins=4)
-    assert summary.bin_edges[3] == ratio_on_edge
-    assert summary.counts == (2, 1, 0, 2)
-
-
-@pytest.mark.parametrize("method", ["equal_width", "quantile"])
-@pytest.mark.parametrize("ratios", [
-    (0.0, 0.1, 0.3, np.linspace(0, 0.7, 5)[3], 0.7),
-    (1.0, 2.0, 3.0, 4.0, 5.0, 6.0, math.inf),
-    (0.5, 0.5, 0.5, 1.5, 1.5, 1.5, 1.5, 1.5),
-    (0.2, 0.2, 0.2, 0.2, 0.9, 1.3, 2.0),
-    tuple(np.random.default_rng(3).uniform(0.0, 2.0, 41)),
-])
-def test_bins_hold_the_ratios_between_their_edges(method, ratios):
-    records = [make_record(r, k / 100) for k, r in enumerate(ratios)]
-    summary = bin_by_degree_ratio(records, n_bins=4, method=method)
-    r = np.array(ratios)
-    energy = np.arange(r.size) / 100
-    edges, last = summary.bin_edges, len(summary.counts) - 1
-    assert len(edges) == last + 2
-    for i, count in enumerate(summary.counts):
-        below_top = r <= edges[i + 1] if i == last else r < edges[i + 1]
-        inside = (edges[i] <= r) & below_top
-        assert count == inside.sum()
-        if count:
-            assert summary.mean_energy[i] == pytest.approx(energy[inside].mean())
-    assert sum(summary.counts) == np.isfinite(r).sum()
-
-
 @pytest.mark.parametrize("field, values", [
     ("strategies", ("bias", Strategy.CLICK_BIAS)),
     ("phi_values", (0.1, 0.1)),
@@ -450,11 +385,6 @@ def test_sweep_config_rejects_a_repeated_grid_value(field, values):
         bias_config(**{field: values})
 
 
-def test_binning_rejects_unknown_method():
-    with pytest.raises(ValidationError):
-        bin_by_degree_ratio([make_record(1.0, 0.1)], method="log")
-
-
 @pytest.mark.parametrize("make, message", [
     (lambda t4: bias_config(strategies=()), "sweep needs at least one strategy"),
     (lambda t4: bias_config(bias_strengths=()), "sweep needs at least one bias strength"),
@@ -464,10 +394,6 @@ def test_binning_rejects_unknown_method():
                             bias_strengths=(1.0, 2.0), alpha_values=(0.5,)),
      "combined strategy needs bias strengths > 1"),
     (lambda t4: sweep(t4, bias_config(), workers=0), "workers must be at least 1"),
-    (lambda t4: bin_by_degree_ratio([make_record(1.0, 0.1)], n_bins=0),
-     "n_bins must be at least 1"),
-    (lambda t4: bin_by_degree_ratio([make_record(math.inf, 0.1)]),
-     "no finite degree ratios to bin"),
 ])
 def test_experiment_rejects_invalid_values(t4, make, message):
     with pytest.raises(ValidationError) as err:

@@ -313,7 +313,7 @@ def _built_graphs():
         "largest_scc": largest_scc(load_edge_list(io.StringIO(text + "c\td\n")))[0],
         "scale_free_graph": synth,
         "click_bias": click_bias(synth, t, 3.0),
-        "insert_links": insert_links(synth, t, pi, 40)[0],
+        "insert_links": insert_links(synth, t, pi, 40),
         "combine": combine(synth, t, pi, 3.0, 0.5, np.random.default_rng(0))[0],
         "constructor": WeightedDigraph(3, _unsorted_int64_adjacency()),
     }

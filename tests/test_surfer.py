@@ -656,7 +656,7 @@ def _synth_run(seed=2):
 
 def test_a_plan_for_other_links_is_not_reused():
     g, base, t = _synth_run()
-    inserted, _ = insert_links(g, t, base.pi, 30)
+    inserted = insert_links(g, t, base.pi, 30)
     p = transition_matrix(inserted)
     assert not base.plan.fits(p.entries)
     res = stationary(p, plan=base.plan)
