@@ -254,6 +254,8 @@ def _build_sweep_config(args, stem: str) -> SweepConfig:
 
 
 def cmd_sweep(args) -> int:
+    if args.workers < 1:  # before the output directory is made
+        raise ValidationError("workers must be at least 1")
     g, _, provenance = _prepare_graph(args.input, args.strict)
     stem = Path(args.input).stem
     config = _build_sweep_config(args, stem)

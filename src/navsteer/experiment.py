@@ -10,7 +10,6 @@ worker count changes wall time only, never output bytes.
 from __future__ import annotations
 
 import concurrent.futures
-import hashlib
 import json
 import logging
 import math
@@ -18,7 +17,7 @@ import os
 import time
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .errors import ValidationError
 from .graph import WeightedDigraph
@@ -142,11 +141,6 @@ class SweepResult:
     failures: list[RunFailure]
 
 
-def _hash_members(members: Sequence[int]) -> str:
-    payload = ",".join(str(i) for i in members).encode()
-    return hashlib.sha256(payload).hexdigest()[:16]
-
-
 def run_single_detailed(
     g: WeightedDigraph,
     target_set: TargetSet,
@@ -162,10 +156,11 @@ def run_single_detailed(
 
     ``baseline`` lets sweeps share the unmodified stationary solve; it must
     belong to ``g``. The modified graph is solved with the baseline's plan,
-    which is reused when the modification kept ``g``'s links. The record's
-    phi is ``phi``, the requested grid value, or else the realized fraction
-    ``len(members) / g.n``. Returns the record plus the modified graph for
-    callers that want to export it.
+    which is reused when the modification left ``g``'s links as they were.
+    No strategy removes a link, so the modified chain needs no period
+    check. The record's phi is ``phi``, the requested grid value, or else
+    the realized fraction ``len(members) / g.n``. Returns the record plus
+    the modified graph for callers that want to export it.
     """
     t = target_vector(target_set, g.n)
     if baseline is None:
@@ -173,7 +168,7 @@ def run_single_detailed(
     started = time.perf_counter()
     modified, budget = apply_modification(g, spec, t, baseline.pi)
     after = stationary(transition_matrix(modified), tolerance, max_iterations,
-                       plan=baseline.plan)
+                       plan=baseline.plan, _extends_plan=True)
     elapsed_ms = (time.perf_counter() - started) * 1000.0
     pi_after, iters_after = after.pi, after.iterations
     del after  # frees its plan before the metrics, which lowers peak RSS
@@ -197,7 +192,7 @@ def run_single_detailed(
         iters_before=baseline.iterations,
         iters_after=iters_after,
         wall_time_ms=elapsed_ms,
-        target_hash=_hash_members(target_set.members),
+        target_hash=target_set.member_hash,
     )
     return record, modified
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import count
 from pathlib import Path
 from typing import IO, Iterable, Iterator
@@ -36,6 +37,7 @@ class WeightedDigraph:
     built without ``node_labels`` labels each node by its index. The graph
     fixes the matrix's form, so no caller has to: canonical (duplicates
     summed, indices sorted), with int32 index arrays whenever they fit.
+    Its in- and out-weights are summed once, into read-only arrays.
     """
 
     n: int
@@ -98,10 +100,18 @@ class WeightedDigraph:
         return cls(n=n, adjacency=adj, node_labels=node_labels)
 
     def out_weights(self) -> np.ndarray:
-        return np.asarray(self.adjacency.sum(axis=0)).ravel()
+        return self._column_sums
 
     def in_weights(self) -> np.ndarray:
-        return np.asarray(self.adjacency.sum(axis=1)).ravel()
+        return self._row_sums
+
+    @cached_property
+    def _column_sums(self) -> np.ndarray:
+        return _axis_sums(self.adjacency, 0)
+
+    @cached_property
+    def _row_sums(self) -> np.ndarray:
+        return _axis_sums(self.adjacency, 1)
 
     def total_weight(self) -> float:
         return float(self.adjacency.data.sum())
@@ -124,6 +134,13 @@ class WeightedDigraph:
         adj = csc_array((data, a.indices, a.indptr), shape=a.shape)
         adj.has_canonical_format = True  # the same links need no re-check
         return self.with_adjacency(adj)
+
+
+def _axis_sums(a: csc_array, axis: int) -> np.ndarray:
+    with np.errstate(over="ignore"):  # inf without a warning, whoever asks first
+        sums = np.asarray(a.sum(axis=axis)).ravel()
+    sums.flags.writeable = False
+    return sums
 
 
 def _as_array(values: Iterable, dtype) -> np.ndarray:

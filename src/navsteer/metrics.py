@@ -33,7 +33,7 @@ def energy(pi: np.ndarray, t: np.ndarray) -> float:
     t = np.asarray(t, dtype=np.float64)
     if pi.shape != t.shape:
         raise ValidationError("pi and t must have the same length")
-    return float(np.dot(pi, t))
+    return float((pi * t).sum())
 
 
 def influence_potential(energy_before: float, energy_after: float) -> float:
@@ -53,8 +53,8 @@ def target_degrees(g: WeightedDigraph, t: np.ndarray) -> tuple[float, float, flo
     t = np.asarray(t, dtype=np.float64)
     if t.shape != (g.n,):
         raise ValidationError("target vector length must equal the node count")
-    d_in = float(np.dot(g.in_weights(), t))
-    d_out = float(np.dot(g.out_weights(), t))
+    d_in = float((g.in_weights() * t).sum())
+    d_out = float((g.out_weights() * t).sum())
     ratio = d_out / d_in if d_in > 0 else math.inf
     return d_in, d_out, ratio
 

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import coo_array
+from scipy.sparse import csc_array
 
 from .errors import EmptySupportError, ValidationError
 from .graph import WeightedDigraph, column_of_entries
@@ -161,27 +161,35 @@ def insert_links(
     mask = _target_mask(t, g.n)
     pi = _check_pi(pi_original, g.n)
 
-    tgt_idx = np.flatnonzero(mask)
-    tgt_order = tgt_idx[np.argsort(-pi[tgt_idx], kind="stable")]
-    k_t = len(tgt_order)
-    n_sources = min(-(-budget_count // k_t), g.n)
-    sources = _top(pi, n_sources)
+    itype = g.adjacency.indices.dtype
+    tgt_idx = np.flatnonzero(mask).astype(itype)
+    k_t = tgt_idx.size
+    sources = _top(pi, min(-(-budget_count // k_t), g.n))
 
-    src = np.repeat(sources, k_t)
-    dst = np.tile(tgt_order, n_sources)
-    off_diagonal = src != dst
-    src, dst = src[off_diagonal], dst[off_diagonal]
-    if src.size == 0:
+    # the block is built column by column, in index order; the pair (s, t)
+    # is placed at rank(s) x k_t + rank(t), less the self-loops before it
+    t_rank = np.empty(k_t, dtype=np.int64)
+    t_rank[np.argsort(-pi[tgt_idx], kind="stable")] = np.arange(k_t)
+    s_rank = np.argsort(sources)
+    cols = sources[s_rank]
+    placed = s_rank[:, None] * k_t + t_rank
+    loop = cols[:, None] == tgt_idx
+    rank = placed[~loop]
+    if rank.size == 0:
         raise ValidationError(
             "no insertable source-to-target pairs (all candidates are self-loops)")
+    rank -= np.searchsorted(np.sort(placed[loop]), rank)
 
     # One full pass adds a unit to every pair in order; the remainder goes
     # to the leading pairs. Equivalent to sequential placement with
     # wrap-around, without the loop.
-    full, rem = divmod(budget_count, src.size)
-    added = np.full(src.size, float(full))
-    added[:rem] += 1.0
-    addition = coo_array((added, (dst, src)), shape=(g.n, g.n)).tocsc()
+    full, rem = divmod(budget_count, rank.size)
+    added = np.where(rank < rem, full + 1.0, float(full))
+    indptr = np.zeros(g.n + 1, dtype=itype)
+    indptr[cols + 1] = k_t - loop.sum(axis=1)
+    np.cumsum(indptr, out=indptr)
+    addition = csc_array((added, np.broadcast_to(tgt_idx, loop.shape)[~loop], indptr),
+                         shape=(g.n, g.n))
     return g.with_adjacency(g.adjacency + addition)
 
 

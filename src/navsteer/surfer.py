@@ -76,8 +76,7 @@ def transition_matrix(g: WeightedDigraph) -> TransitionMatrix:
     """
     if g.n == 0:
         raise EmptyGraphError("transition matrix of an empty graph is undefined")
-    with np.errstate(over="ignore"):
-        out = g.out_weights()
+    out = g.out_weights()
     dangling = np.flatnonzero(out <= 0)
     if dangling.size:
         node = int(dangling[0])
@@ -305,6 +304,7 @@ def stationary(
     tolerance: float = DEFAULT_TOLERANCE,
     max_iterations: int = DEFAULT_MAX_ITERATIONS,
     plan: SolvePlan | None = None,
+    *, _extends_plan: bool = False,
 ) -> StationaryResult:
     """Stationary distribution by power iteration until the L1 step norm
     falls below ``tolerance``.
@@ -315,11 +315,14 @@ def stationary(
     when its links equal P's, as after click bias, which keeps the
     baseline's links. Otherwise a periodic chain raises
     :class:`PeriodicChainError` before any further step, and a plan is
-    built. The chain the plan picks is iterated from its uniform vector
-    (with nothing censored it is P, and its first step repeats the uniform
-    one), ``iterations`` counts its steps, censored pages are recovered,
-    and the result must satisfy ||P pi - pi||_1 <= max(1e-9, 1e3 * tolerance).
-    The result carries the plan it used. A plan changes no output byte.
+    built. With ``_extends_plan`` the caller says P holds ``plan``'s links
+    and maybe more, so P keeps every cycle of that aperiodic chain and is
+    not checked. The chain the plan picks is iterated from its uniform
+    vector (with nothing censored it is P, and its first step repeats the
+    uniform one), ``iterations`` counts its steps, censored pages are
+    recovered, and the result must satisfy ||P pi - pi||_1 <= max(1e-9,
+    1e3 * tolerance). The result carries the plan it used. A plan changes
+    no output byte.
 
     Non-convergence raises :class:`ConvergenceError` carrying the last
     iterate over all pages and the iterated chain's residual history.
@@ -334,7 +337,7 @@ def stationary(
     if done:
         return StationaryResult(pi=v, iterations=1, residual=history[-1])
     if plan is None or not plan.fits(matrix):
-        if (period := chain_period(matrix)) > 1:
+        if (plan is None or not _extends_plan) and (period := chain_period(matrix)) > 1:
             raise PeriodicChainError(period, last_iterate=v, residual_history=history)
         plan = _censor(matrix)
     q = _censored(plan, matrix)

@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import hashlib
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -20,16 +21,20 @@ _TARGET_STREAM = "targets"
 @dataclass(frozen=True)
 class TargetSet:
     """Target nodes (sorted unique indices) and the sample they were drawn
-    as, 0 for a named set. The realized fraction is ``len(members) / n``."""
+    as, 0 for a named set. The realized fraction is ``len(members) / n``.
+    ``member_hash``, computed once, identifies the members."""
 
     members: tuple[int, ...]
     sample_id: int
+    member_hash: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.members) == 0:
             raise ValidationError("a target set must contain at least one node")
         if list(self.members) != sorted(set(self.members)):
             raise ValidationError("target members must be sorted and unique")
+        payload = ",".join(str(i) for i in self.members).encode()
+        object.__setattr__(self, "member_hash", hashlib.sha256(payload).hexdigest()[:16])
 
 
 def target_set_size(phi: float, n: int) -> int:

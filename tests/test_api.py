@@ -69,6 +69,32 @@ def test_every_imported_name_is_read():
     assert unread == []
 
 
+# numpy calls that hand a reduction to BLAS
+_BLAS_REDUCTIONS = {"dot", "vdot", "inner", "matmul", "einsum", "tensordot"}
+
+
+def _blas_reductions(path):
+    """Every ``np.<name>`` or ``from numpy import <name>`` of a BLAS reduction."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr in _BLAS_REDUCTIONS \
+                and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy"):
+            yield f"np.{node.attr}"
+        elif isinstance(node, ast.ImportFrom) and node.module == "numpy":
+            yield from (alias.name for alias in node.names
+                        if alias.name in _BLAS_REDUCTIONS)
+
+
+def test_no_module_calls_a_blas_reduction():
+    # OpenBLAS splits a long dot product over its threads, so the last bits
+    # of the sum would follow the host's thread count; numpy's own sum
+    # does not
+    src = Path(navsteer.__file__).parent
+    found = [f"{path.name}: {name}" for path in sorted(src.glob("*.py"))
+             for name in _blas_reductions(path)]
+    assert found == []
+
+
 def _read_names(path):
     """Every name a module reads, bare or as an attribute."""
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))

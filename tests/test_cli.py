@@ -8,6 +8,10 @@ stable API (0 ok, 2 parse/validation, 3 convergence, 4 connectivity under
 import csv
 import hashlib
 import json
+import os
+import re
+import subprocess
+import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -16,7 +20,9 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from navsteer import EmptySupportError, load_edge_list, __version__
+import navsteer
+from navsteer import (EmptySupportError, load_edge_list, scale_free_graph,
+                      write_edge_list, __version__)
 from navsteer.cli import main
 
 from conftest import read_crlf
@@ -378,6 +384,40 @@ def test_sweep_worker_count_does_not_change_bytes(tmp_path, t4_file):
         digests.append(hashlib.sha256(
             (outdir / "t4.runs.csv").read_bytes()).hexdigest())
     assert digests[0] == digests[1]
+
+
+@pytest.mark.parametrize("workers", ["0", "-1"])
+def test_sweep_rejects_workers_below_one_before_any_output(
+        tmp_path, t4_file, capsys, monkeypatch, workers):
+    from navsteer import experiment
+    solves = []
+    monkeypatch.setattr(experiment, "stationary", lambda *a, **k: solves.append(a))
+    outdir = tmp_path / "sweep"
+    assert main(["sweep", str(t4_file), "--seed", "3", "--workers", workers,
+                 "--output-dir", str(outdir)]) == 2
+    assert "workers must be at least 1" in capsys.readouterr().err
+    assert not outdir.exists() and solves == []
+
+
+def test_sweep_bytes_do_not_follow_the_blas_thread_count(tmp_path):
+    # OpenBLAS splits a dot product of more than 10 000 terms over its
+    # threads, which moved the last bits of pi_t, pi_t_prime and tau
+    site = tmp_path / "site.tsv"
+    write_edge_list(scale_free_graph(30_000, seed=5), site)
+    src = str(Path(navsteer.__file__).resolve().parents[1])
+    records = []
+    for threads in ("1", "2"):
+        outdir = tmp_path / f"blas{threads}"
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        subprocess.run(
+            [sys.executable, "-m", "navsteer", "sweep", str(site), "--strategies", "bias",
+             "--phi-values", "0.2", "--bias-strengths", "2", "--samples", "1",
+             "--seed", "1", "--format", "json-lines", "--output-dir", str(outdir)],
+            env=env, check=True, capture_output=True)
+        text = (outdir / "site.runs.jsonl").read_text()
+        records.append(re.sub(r'"wall_time_ms": [^,}]*', "", text))
+    assert records[0] == records[1]
 
 
 def test_sweep_partial_failure_exit_code(tmp_path, t4_file, capsys):

@@ -8,6 +8,8 @@ import pytest
 
 from navsteer import (
     CSV_HEADER,
+    PeriodicChainError,
+    WeightedDigraph,
     RunRecord,
     SweepConfig,
     ValidationError,
@@ -19,7 +21,7 @@ from navsteer import (
     write_records_csv,
     write_records_jsonl,
 )
-from navsteer import experiment
+from navsteer import experiment, surfer
 from navsteer.cli import main as cli_main
 from navsteer.graph import write_edge_list
 from navsteer.modify import ModificationSpec, Strategy
@@ -168,6 +170,55 @@ def test_runs_reuse_the_baseline_plan_without_changing_bytes(tmp_path, monkeypat
     alpha_one = sum(r.alpha == 1.0 and r.inserted_count == 0 for r in result.records)
     assert solves[0][0] is None and alpha_one > 0
     assert reused == bias_runs + alpha_one
+
+
+def _period_checks(monkeypatch):
+    """The shapes of the chains whose period a solve checks from now on."""
+    shapes = []
+    check = surfer.chain_period
+
+    def spy(matrix):
+        shapes.append(matrix.shape)
+        return check(matrix)
+
+    monkeypatch.setattr(surfer, "chain_period", spy)
+    return shapes
+
+
+@pytest.mark.parametrize("spec", [
+    ModificationSpec(Strategy.CLICK_BIAS, 5.0),
+    ModificationSpec(Strategy.LINK_INSERTION, 5.0),
+    ModificationSpec(Strategy.COMBINED, 5.0, alpha=0.5, seed=3),
+])
+def test_runs_check_no_period_of_the_modified_chain(monkeypatch, spec):
+    from navsteer.synth import scale_free_graph
+    g = scale_free_graph(400, seed=2)
+    baseline = stationary(transition_matrix(g))
+    assert baseline.plan is not None
+    shapes = _period_checks(monkeypatch)
+    ts = TargetSet(members=tuple(range(0, g.n, 20)), sample_id=0)
+    record, modified = run_single_detailed(g, ts, spec, baseline=baseline)
+    assert (g.n, g.n) not in shapes
+    if spec.strategy is Strategy.CLICK_BIAS:
+        assert shapes == []                       # the baseline's plan is reused
+    else:
+        # the new plan's censored chain Q is still checked
+        assert record.inserted_count > 0 and modified.edge_count() > g.edge_count()
+        assert shapes and all(m < g.n for m, _ in shapes)
+
+
+def test_a_run_without_a_baseline_plan_checks_the_period(monkeypatch):
+    # a 4-cycle: the uniform step settles the baseline, so it has no plan,
+    # and the link 0 -> 3 adds a cycle of length 2: period 2
+    g = WeightedDigraph.from_edges(4, [0, 1, 2, 3], [1, 2, 3, 0])
+    baseline = stationary(transition_matrix(g))
+    assert baseline.plan is None
+    shapes = _period_checks(monkeypatch)
+    with pytest.raises(PeriodicChainError) as err:
+        run_single_detailed(g, TargetSet(members=(3,), sample_id=0),
+                            ModificationSpec(Strategy.LINK_INSERTION, 2.0),
+                            baseline=baseline)
+    assert err.value.period == 2 and shapes == [(4, 4)]
 
 
 class _InlinePool:

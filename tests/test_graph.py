@@ -1,5 +1,7 @@
 import io
 import logging
+import pickle
+import warnings
 
 import numpy as np
 import pytest
@@ -109,6 +111,31 @@ def test_weight_conservation():
         g = random_scc_graph(rng, int(rng.integers(3, 40)))
         assert np.isclose(g.in_weights().sum(), g.total_weight())
         assert np.isclose(g.out_weights().sum(), g.total_weight())
+
+
+def test_weight_sums_are_scipys_read_only_and_summed_once():
+    g = random_scc_graph(np.random.default_rng(8), 40)
+    for sums, axis in ((g.out_weights, 0), (g.in_weights, 1)):
+        assert sums() is sums()
+        assert sums().tobytes() == np.asarray(g.adjacency.sum(axis=axis)).ravel().tobytes()
+        with pytest.raises(ValueError):
+            sums()[0] = 1.0
+    copy = pickle.loads(pickle.dumps(g))
+    assert copy.out_weights().tobytes() == g.out_weights().tobytes()
+    assert copy.in_weights().tobytes() == g.in_weights().tobytes()
+
+
+@pytest.mark.parametrize("first", ["out_weights", "in_weights", None])
+def test_an_overflowing_weight_sum_reads_inf_whoever_asks_first(first):
+    # page 0's two out-links and page 1's two in-links each sum past float64
+    g = WeightedDigraph.from_edges(4, [0, 0, 2, 3, 1], [2, 3, 1, 1, 0], [1e308] * 5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if first is not None:
+            getattr(g, first)()
+        with pytest.raises(ValidationError, match="out-weight too large"):
+            transition_matrix(g)
+        assert g.in_weights()[1] == g.out_weights()[0] == np.inf
 
 
 def test_label_lookup(t4):

@@ -8,7 +8,7 @@ accounting rules (integer arithmetic stays exact in floating point).
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.sparse import csc_array
+from scipy.sparse import coo_array, csc_array
 
 from navsteer import (
     EmptySupportError,
@@ -18,6 +18,9 @@ from navsteer import (
     transition_matrix,
 )
 from navsteer.graph import column_of_entries
+from navsteer.surfer import chain_period
+from navsteer.synth import scale_free_graph
+from navsteer.util import round_half_up
 from navsteer.modify import (
     LinkBudget,
     ModificationSpec,
@@ -223,6 +226,100 @@ def test_insert_exact_accounting_random_cases():
         assert np.all(g2.adjacency.diagonal() == 0.0)
         assert np.array_equal((g2.adjacency - g.adjacency).toarray(),
                               replayed_insertions(g.n, t, pi, budget_count))
+
+
+def _old_insert_links(g, t, pi, budget_count):
+    """insert_links as it stood when scipy sorted its block, kept as the
+    oracle of the block built in CSC order."""
+    tgt_idx = np.flatnonzero(t > 0.5)
+    tgt_order = tgt_idx[np.argsort(-pi[tgt_idx], kind="stable")]
+    k_t = len(tgt_order)
+    n_sources = min(-(-budget_count // k_t), g.n)
+    sources = _top(pi, n_sources)
+
+    src = np.repeat(sources, k_t)
+    dst = np.tile(tgt_order, n_sources)
+    off_diagonal = src != dst
+    src, dst = src[off_diagonal], dst[off_diagonal]
+    if src.size == 0:
+        raise ValidationError(
+            "no insertable source-to-target pairs (all candidates are self-loops)")
+    full, rem = divmod(budget_count, src.size)
+    added = np.full(src.size, float(full))
+    added[:rem] += 1.0
+    addition = coo_array((added, (dst, src)), shape=(g.n, g.n)).tocsc()
+    return g.with_adjacency(g.adjacency + addition)
+
+
+def _inserted(insert, g, t, pi, budget_count):
+    try:
+        a = insert(g, t, pi, budget_count).adjacency
+    except ValidationError as exc:
+        return str(exc)
+    return [(x.dtype.str, x.tobytes()) for x in (a.data, a.indices, a.indptr)]
+
+
+def _assert_insert_is_the_coo_construction(g, t, pi, budget_count):
+    assert (_inserted(insert_links, g, t, pi, budget_count)
+            == _inserted(_old_insert_links, g, t, pi, budget_count))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_insert_block_is_the_coo_construction(data):
+    n = data.draw(st.integers(3, 25))
+    g = random_scc_graph(np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))), n)
+    # coarse values make ties among sources and among targets
+    pi = np.array(data.draw(st.lists(st.sampled_from([0.0, 0.1, 0.25]) | st.floats(0.0, 1.0),
+                                     min_size=n, max_size=n)))
+    members = data.draw(st.sets(st.integers(0, n - 1), min_size=1))
+    t = np.zeros(n)
+    t[list(members)] = 1.0
+    # up to several passes over every source-target pair
+    budget_count = data.draw(st.integers(1, 3 * n * len(members)))
+    _assert_insert_is_the_coo_construction(g, t, pi, budget_count)
+
+
+@pytest.mark.parametrize("target, budget_count", [
+    (0, 1), (0, 2), (0, 7), (0, 100),    # one target, the top page: its self-loop
+    (3, 1), (3, 100),                    # one target, not a source
+    ([0, 1, 2, 3], 5), ([0, 3], 50),     # sources among the targets
+])
+def test_insert_block_is_the_coo_construction_on_fixed_examples(target, budget_count):
+    g = random_scc_graph(np.random.default_rng(3), 6)
+    pi = np.array([0.4, 0.2, 0.2, 0.1, 0.05, 0.05])
+    t = np.zeros(g.n)
+    t[target] = 1.0
+    _assert_insert_is_the_coo_construction(g, t, pi, budget_count)
+
+
+def test_insert_block_is_the_coo_construction_on_a_synth_graph():
+    g = scale_free_graph(5_000, seed=1)
+    pi = solve(g)
+    for phi, b in ((0.01, 2.0), (0.2, 15.0)):
+        t = np.zeros(g.n)
+        t[np.random.default_rng(2).choice(g.n, round(phi * g.n), replace=False)] = 1.0
+        t[np.argmax(pi)] = 1.0                    # a source among the targets
+        count = round_half_up(weight_budget(g, t, b))
+        _assert_insert_is_the_coo_construction(g, t, pi, count)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(list(Strategy)), st.sampled_from([2.0, 15.0]))
+def test_every_strategy_keeps_the_links_and_the_period(seed, strategy, b):
+    # what lets a run skip the period check of its modified chain
+    rng = np.random.default_rng(seed)
+    g = random_scc_graph(rng, int(rng.integers(3, 30)))
+    t = np.zeros(g.n)
+    t[rng.choice(g.n, int(rng.integers(1, g.n)), replace=False)] = 1.0
+    combined = strategy is Strategy.COMBINED
+    spec = ModificationSpec(strategy, b, alpha=0.5 if combined else None,
+                            seed=seed if combined else None)
+    modified, _ = apply_modification(g, spec, t, solve(g))
+    added = modified.adjacency - g.adjacency
+    added.eliminate_zeros()
+    assert added.data.min(initial=1.0) > 0
+    assert chain_period(transition_matrix(modified).entries) == 1
 
 
 def replayed_insertions(n, t, pi, budget_count):

@@ -1,5 +1,8 @@
 """Target sampling, seed derivation, rounding rules."""
 
+import hashlib
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -148,3 +151,24 @@ def test_targets_and_seeds_reject_invalid_values(make, error, message):
     with pytest.raises(error) as err:
         make()
     assert message in str(err.value)
+
+
+def _old_target_hash(members):
+    """The record's target_hash as the sweep used to format it per run."""
+    payload = ",".join(str(i) for i in members).encode()
+    return hashlib.sha256(payload).hexdigest()[:16]
+
+
+@given(st.sets(st.integers(0, 10**9), min_size=1))
+def test_member_hash_is_the_old_target_hash(members):
+    ts = TargetSet(members=tuple(sorted(members)), sample_id=4)
+    assert ts.member_hash == _old_target_hash(ts.members)
+    copy = pickle.loads(pickle.dumps(ts))
+    assert copy == ts and copy.member_hash == ts.member_hash
+
+
+def test_member_hash_leaves_equality_and_repr_alone():
+    ts = TargetSet(members=(1, 2, 3), sample_id=0)
+    assert ts.member_hash == "8a6ae15122001229" == _old_target_hash((1, 2, 3))
+    assert repr(ts) == "TargetSet(members=(1, 2, 3), sample_id=0)"
+    assert ts == TargetSet(members=(1, 2, 3), sample_id=0)
