@@ -155,12 +155,11 @@ def run_single_detailed(
     """Execute one full pipeline run: modify, solve, measure.
 
     ``baseline`` lets sweeps share the unmodified stationary solve; it must
-    belong to ``g``. The modified graph is solved with the baseline's plan,
-    which is reused when the modification left ``g``'s links as they were.
-    No strategy removes a link, so the modified chain needs no period
-    check. The record's phi is ``phi``, the requested grid value, or else
-    the realized fraction ``len(members) / g.n``. Returns the record plus
-    the modified graph for callers that want to export it.
+    belong to ``g``. The modified graph is solved with the baseline's plan
+    alone, as no strategy removes a link. The record's ``l_b`` is exactly
+    ``(b - 1) * d_in``, and its phi is ``phi``, the requested grid value, or
+    else the realized fraction ``len(members) / g.n``. Returns the record
+    plus the modified graph for callers that want to export it.
     """
     t = target_vector(target_set, g.n)
     if baseline is None:
@@ -168,7 +167,7 @@ def run_single_detailed(
     started = time.perf_counter()
     modified, budget = apply_modification(g, spec, t, baseline.pi)
     after = stationary(transition_matrix(modified), tolerance, max_iterations,
-                       plan=baseline.plan, _extends_plan=True)
+                       plan=baseline.plan)
     elapsed_ms = (time.perf_counter() - started) * 1000.0
     pi_after, iters_after = after.pi, after.iterations
     del after  # frees its plan before the metrics, which lowers peak RSS
@@ -338,10 +337,10 @@ def write_records_csv(
 
 
 def write_records_jsonl(records: Iterable[RunRecord], path: str | Path) -> None:
-    """JSON-lines record dump, one object per run, all fields included."""
+    """JSON-lines record dump, one object per run, all fields included; a
+    non-finite float, which JSON lacks, is written as its ``str``."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for r in records:
-            d = asdict(r)
-            if math.isinf(d["degree_ratio"]):
-                d["degree_ratio"] = "inf"
+            d = {k: str(v) if isinstance(v, float) and not math.isfinite(v) else v
+                 for k, v in asdict(r).items()}
             fh.write(json.dumps(d, sort_keys=True) + "\n")

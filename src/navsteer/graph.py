@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 from itertools import count
 from pathlib import Path
@@ -98,6 +98,10 @@ class WeightedDigraph:
         adj = coo_array((w, (dst, src)), shape=(n, n)).tocsc()
         adj.eliminate_zeros()
         return cls(n=n, adjacency=adj, node_labels=node_labels)
+
+    def __getstate__(self):
+        # the cached sums stay out: they are summed again, read-only, on first use
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     def out_weights(self) -> np.ndarray:
         return self._column_sums

@@ -9,6 +9,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .graph import WeightedDigraph
+from .targets import target_mask
 
 
 @dataclass(frozen=True)
@@ -47,14 +48,13 @@ def influence_potential(energy_before: float, energy_after: float) -> float:
 def target_degrees(g: WeightedDigraph, t: np.ndarray) -> tuple[float, float, float]:
     """Weighted in-degree, out-degree and their ratio for the target set.
 
-    In-degree sums the target rows of the adjacency (weight flowing into
-    targets), out-degree the target columns (weight leaving them).
+    In-degree sums the targets' in-weights (weight flowing into them),
+    out-degree their out-weights; no other page's weight is summed, and a
+    sum past float64 reads inf. A ``t`` that selects no page is an error.
     """
-    t = np.asarray(t, dtype=np.float64)
-    if t.shape != (g.n,):
-        raise ValidationError("target vector length must equal the node count")
-    d_in = float((g.in_weights() * t).sum())
-    d_out = float((g.out_weights() * t).sum())
+    mask = target_mask(t, g.n)
+    with np.errstate(over="ignore"):
+        d_in, d_out = (float(w[mask].sum()) for w in (g.in_weights(), g.out_weights()))
     ratio = d_out / d_in if d_in > 0 else math.inf
     return d_in, d_out, ratio
 

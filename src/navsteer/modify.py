@@ -17,6 +17,8 @@ from scipy.sparse import csc_array
 
 from .errors import EmptySupportError, ValidationError
 from .graph import WeightedDigraph, column_of_entries
+from .metrics import target_degrees
+from .targets import target_mask
 from .util import round_half_up
 
 # Relative slack when testing whether one more indivisible link still fits
@@ -76,21 +78,6 @@ class LinkBudget:
         if min(self.inserted_count, self.biased_weight) < 0:
             raise ValidationError("budget weights and counts cannot be negative")
 
-    @property
-    def total_weight(self) -> float:
-        """The realized Σ W' - Σ W: biased weight plus one per inserted link."""
-        return self.biased_weight + self.inserted_count
-
-
-def _target_mask(t: np.ndarray, n: int) -> np.ndarray:
-    t = np.asarray(t, dtype=np.float64)
-    if t.shape != (n,):
-        raise ValidationError("target vector length must equal the node count")
-    mask = t > 0.5
-    if not mask.any():
-        raise ValidationError("target vector selects no nodes")
-    return mask
-
 
 def _check_pi(pi: np.ndarray, n: int) -> np.ndarray:
     pi = np.asarray(pi, dtype=np.float64)
@@ -102,15 +89,14 @@ def _check_pi(pi: np.ndarray, n: int) -> np.ndarray:
 
 
 def weight_budget(g: WeightedDigraph, t: np.ndarray, b: float) -> float:
-    """Weight budget l(b) = (b - 1) x (weighted in-degree of the targets).
+    """Weight budget l(b) = (b - 1) x d_in, with the targets' weighted
+    in-degree d_in from :func:`target_degrees`, so the two agree bit for bit.
 
     This is the extra weight click bias at strength ``b`` would pour onto
     the targets' in-links; the other strategies spend the same budget.
     """
     check_bias_strength(b)
-    mask = _target_mask(t, g.n)
-    with np.errstate(over="ignore"):
-        l_b = (b - 1.0) * float(g.in_weights()[mask].sum())
+    l_b = (b - 1.0) * target_degrees(g, t)[0]
     if not math.isfinite(l_b):
         raise ValidationError(f"weight budget overflows float64 at bias strength {b!r}")
     return l_b
@@ -135,7 +121,7 @@ def click_bias(g: WeightedDigraph, t: np.ndarray, b: float) -> WeightedDigraph:
     exactly B W with B = I + (b - 1) diag(t).
     """
     check_bias_strength(b)
-    return _biased(g, _target_mask(t, g.n)[g.adjacency.indices], b)
+    return _biased(g, target_mask(t, g.n)[g.adjacency.indices], b)
 
 
 def insert_links(
@@ -158,11 +144,10 @@ def insert_links(
         raise ValidationError(
             f"budget_count must be an integer >= 1, got {budget_count!r}")
     budget_count = int(budget_count)
-    mask = _target_mask(t, g.n)
+    itype = g.adjacency.indices.dtype
+    tgt_idx = np.flatnonzero(target_mask(t, g.n)).astype(itype)
     pi = _check_pi(pi_original, g.n)
 
-    itype = g.adjacency.indices.dtype
-    tgt_idx = np.flatnonzero(mask).astype(itype)
     k_t = tgt_idx.size
     sources = _top(pi, min(-(-budget_count // k_t), g.n))
 
@@ -214,7 +199,7 @@ def _eligible_entries(
     plausible recipient of bias.
     """
     a = g.adjacency
-    eligible = _target_mask(t, g.n)[a.indices]
+    eligible = target_mask(t, g.n)[a.indices]
     if not eligible.any():
         raise EmptySupportError("no existing link points at any target")
     pos = np.flatnonzero(eligible)

@@ -2,8 +2,8 @@
 
 The surfer follows outgoing links with probability proportional to link
 weight. There is deliberately no teleportation or damping: inputs are
-expected to be strongly connected. A periodic chain fails with
-:class:`PeriodicChainError` before any iteration past the uniform-start
+expected to be strongly connected. Solved without a plan, a periodic
+chain fails with :class:`PeriodicChainError` after the uniform-start
 check, instead of being smoothed over or iterated to the budget.
 """
 
@@ -304,25 +304,25 @@ def stationary(
     tolerance: float = DEFAULT_TOLERANCE,
     max_iterations: int = DEFAULT_MAX_ITERATIONS,
     plan: SolvePlan | None = None,
-    *, _extends_plan: bool = False,
 ) -> StationaryResult:
     """Stationary distribution by power iteration until the L1 step norm
     falls below ``tolerance``.
 
     One step from the uniform vector comes first; a chain it already
     satisfies returns with 1 iteration and no plan. Then the solve needs a
-    :class:`SolvePlan`: ``plan`` (an earlier result's ``plan``) is reused
-    when its links equal P's, as after click bias, which keeps the
-    baseline's links. Otherwise a periodic chain raises
-    :class:`PeriodicChainError` before any further step, and a plan is
-    built. With ``_extends_plan`` the caller says P holds ``plan``'s links
-    and maybe more, so P keeps every cycle of that aperiodic chain and is
-    not checked. The chain the plan picks is iterated from its uniform
-    vector (with nothing censored it is P, and its first step repeats the
-    uniform one), ``iterations`` counts its steps, censored pages are
-    recovered, and the result must satisfy ||P pi - pi||_1 <= max(1e-9,
-    1e3 * tolerance). The result carries the plan it used. A plan changes
-    no output byte.
+    :class:`SolvePlan`. Without ``plan`` a periodic chain raises
+    :class:`PeriodicChainError` before any further step. A ``plan`` (an
+    earlier result's) states that P holds its links and maybe more, as no
+    modification removes one, so P keeps every cycle of the plan's
+    aperiodic chain: the plan is reused when its links equal P's, else
+    rebuilt for P with no check of P. (A plan of an unrelated chain is a
+    caller error; a periodic P then fails only as its iteration does.)
+    The chain the plan picks is iterated from its uniform vector (with
+    nothing censored it is P, and its first step repeats the uniform one),
+    ``iterations`` counts its steps, censored pages are recovered, and the
+    result must satisfy ||P pi - pi||_1 <= max(1e-9, 1e3 * tolerance),
+    which guards pi whatever the plan. The result carries the plan it
+    used. A plan changes no output byte.
 
     Non-convergence raises :class:`ConvergenceError` carrying the last
     iterate over all pages and the iterated chain's residual history.
@@ -336,9 +336,9 @@ def stationary(
     v, done = _power_iteration(matrix, np.full(p.n, 1.0 / p.n), tolerance, 1, history)
     if done:
         return StationaryResult(pi=v, iterations=1, residual=history[-1])
+    if plan is None and (period := chain_period(matrix)) > 1:
+        raise PeriodicChainError(period, last_iterate=v, residual_history=history)
     if plan is None or not plan.fits(matrix):
-        if (plan is None or not _extends_plan) and (period := chain_period(matrix)) > 1:
-            raise PeriodicChainError(period, last_iterate=v, residual_history=history)
         plan = _censor(matrix)
     q = _censored(plan, matrix)
     history = []

@@ -83,6 +83,17 @@ def target_vector(ts: TargetSet | Sequence[int], n: int) -> np.ndarray:
     return t
 
 
+def target_mask(t: np.ndarray, n: int) -> np.ndarray:
+    """Boolean mask of the pages that indicator vector ``t`` selects (t > 0.5)."""
+    t = np.asarray(t, dtype=np.float64)
+    if t.shape != (n,):
+        raise ValidationError("target vector length must equal the node count")
+    mask = t > 0.5
+    if not mask.any():
+        raise ValidationError("target vector selects no nodes")
+    return mask
+
+
 def write_targets_csv(
     target_sets: Iterable[TargetSet],
     g: WeightedDigraph,

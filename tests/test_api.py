@@ -43,6 +43,23 @@ def test_no_module_imports_a_private_name_from_a_sibling():
     assert private == []
 
 
+def _private_keywords(path):
+    """Every keyword argument a module passes under a leading underscore."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.keyword) and (node.arg or "").startswith("_"):
+            yield node.arg
+
+
+def test_no_module_passes_a_private_keyword():
+    # a private keyword is the call form of a private import: it lets one
+    # module steer a decision that another module keeps to itself
+    src = Path(navsteer.__file__).parent
+    private = [f"{path.name}: {name}" for path in sorted(src.glob("*.py"))
+               for name in _private_keywords(path)]
+    assert private == []
+
+
 def _unread_imports(path):
     """Names a module imports but never reads."""
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))

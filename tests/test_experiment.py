@@ -1,10 +1,12 @@
 """Sweep orchestration and record serialization."""
 
+import dataclasses
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from navsteer import (
     CSV_HEADER,
@@ -27,7 +29,7 @@ from navsteer.graph import write_edge_list
 from navsteer.modify import ModificationSpec, Strategy
 from navsteer.targets import TargetSet
 
-from conftest import make_t4, read_crlf
+from conftest import make_t4, random_scc_graph, read_crlf
 
 P1 = TargetSet(members=(0,), sample_id=0)
 
@@ -219,6 +221,36 @@ def test_a_run_without_a_baseline_plan_checks_the_period(monkeypatch):
                             ModificationSpec(Strategy.LINK_INSERTION, 2.0),
                             baseline=baseline)
     assert err.value.period == 2 and shapes == [(4, 4)]
+
+
+_SPECS = {
+    Strategy.CLICK_BIAS: lambda b, seed: ModificationSpec(Strategy.CLICK_BIAS, b),
+    Strategy.LINK_INSERTION: lambda b, seed: ModificationSpec(Strategy.LINK_INSERTION, b),
+    Strategy.COMBINED: lambda b, seed: ModificationSpec(Strategy.COMBINED, b,
+                                                        alpha=0.5, seed=seed),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(list(Strategy)),
+       st.sampled_from([15.0, 40.0, 123.25]))
+def test_a_records_budget_is_b_minus_one_times_its_in_degree(seed, strategy, b):
+    # l(b) = (b - 1) x d_in by definition, so the two agree bit for bit
+    rng = np.random.default_rng(seed)
+    g = random_scc_graph(rng, int(rng.integers(8, 60)))
+    members = rng.choice(g.n, int(rng.integers(1, g.n // 2)), replace=False)
+    record, _ = run_single_detailed(g, TargetSet(tuple(sorted(members.tolist())), 0),
+                                    _SPECS[strategy](b, seed))
+    assert record.l_b == (b - 1.0) * record.d_in
+
+
+@pytest.mark.parametrize("strategy", list(Strategy))
+def test_a_non_target_weight_past_float64_leaves_the_record_finite(strategy):
+    # page 1's in-links sum past float64; the target, page 0, has in-weight 1
+    g = WeightedDigraph.from_edges(4, [0, 2, 3, 1, 1, 0], [1, 1, 1, 0, 2, 3],
+                                   [1e308, 1e308, 1, 1, 1, 1])
+    record, _ = run_single_detailed(g, P1, _SPECS[strategy](2.0, 3))
+    assert (record.d_in, record.l_b) == (1.0, 1.0)
 
 
 class _InlinePool:
@@ -455,6 +487,25 @@ def test_experiment_rejects_invalid_values(t4, make, message):
 def test_only_the_combined_strategy_rejects_b_one():
     pure = (Strategy.CLICK_BIAS, Strategy.LINK_INSERTION)
     assert bias_config(strategies=pure, bias_strengths=(1.0,)).bias_strengths == (1.0,)
+
+
+def _not_json(name):
+    raise AssertionError(f"{name} is not JSON")
+
+
+def test_jsonl_writes_every_non_finite_float_as_its_str(tmp_path):
+    # the targets' out-links sum past float64, so d_out and the ratio read inf
+    g = WeightedDigraph.from_edges(4, [0, 1, 2, 2, 0, 3, 1, 3, 0], [2, 2, 0, 1, 3, 0, 3, 1, 1],
+                                   [1e308, 1e308, 1, 1, 1, 1, 1, 1, 1])
+    record, _ = run_single_detailed(g, TargetSet(members=(0, 1), sample_id=0),
+                                    ModificationSpec(Strategy.CLICK_BIAS, 2.0))
+    odd = dataclasses.replace(make_record(2.0, 0.3), pi_t=-math.inf, tau=math.nan)
+    path = tmp_path / "runs.jsonl"
+    write_records_jsonl([record, odd], path)
+    rows = [json.loads(line, parse_constant=_not_json)
+            for line in path.read_text().splitlines()]
+    assert (rows[0]["d_in"], rows[0]["d_out"], rows[0]["degree_ratio"]) == (5.0, "inf", "inf")
+    assert (rows[1]["pi_t"], rows[1]["tau"]) == ("-inf", "nan")
 
 
 def test_jsonl_writes_an_infinite_degree_ratio_as_inf(tmp_path):

@@ -125,6 +125,16 @@ def test_weight_sums_are_scipys_read_only_and_summed_once():
     assert copy.in_weights().tobytes() == g.in_weights().tobytes()
 
 
+def test_a_pickled_graph_keeps_its_weight_sums_read_only():
+    # a sweep's pool workers receive their graph pickled
+    g = random_scc_graph(np.random.default_rng(8), 40)
+    g.out_weights(), g.in_weights()
+    copy = pickle.loads(pickle.dumps(g))
+    for sums in (copy.out_weights(), copy.in_weights()):
+        with pytest.raises(ValueError):
+            sums[0] = 1.0
+
+
 @pytest.mark.parametrize("first", ["out_weights", "in_weights", None])
 def test_an_overflowing_weight_sum_reads_inf_whoever_asks_first(first):
     # page 0's two out-links and page 1's two in-links each sum past float64

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -60,6 +61,20 @@ def test_degree_ratio_infinite_when_no_in_links():
     _, d_out, ratio = target_degrees(g, np.array([0, 0, 1.0]))
     assert d_out == 1.0
     assert math.isinf(ratio)
+
+
+def test_target_degrees_reject_a_target_vector_that_selects_no_page(t4):
+    with pytest.raises(ValidationError, match="target vector selects no nodes"):
+        target_degrees(t4, np.zeros(4))
+
+
+def test_a_non_target_weight_past_float64_does_not_reach_the_targets():
+    # page 1's in-links sum past float64; page 0's in-weight is 1
+    g = WeightedDigraph.from_edges(4, [0, 2, 3, 1, 1, 0], [1, 1, 1, 0, 2, 3],
+                                   [1e308, 1e308, 1, 1, 1, 1])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert target_degrees(g, np.array([1.0, 0, 0, 0])) == (1.0, 1e308, 1e308)
 
 
 def test_target_metrics_composes(t4):
