@@ -45,6 +45,7 @@ from .modify import ModificationSpec, Strategy
 from .surfer import (
     DEFAULT_MAX_ITERATIONS,
     DEFAULT_TOLERANCE,
+    check_solver_settings,
     lorenz_curve,
     stationary,
     transition_matrix,
@@ -158,6 +159,7 @@ def cmd_modify(args) -> int:
     spec = ModificationSpec(strategy=strategy, bias_strength=args.bias_strength,
                             alpha=args.alpha,
                             seed=derive_seed(seed, "combine") if combined else None)
+    check_solver_settings(args.tolerance, args.max_iterations)
 
     outdir = Path(args.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -265,7 +267,7 @@ def cmd_sweep(args) -> int:
 
     if args.format == "json-lines":
         out_records = outdir / f"{stem}.runs.jsonl"
-        write_records_jsonl(result.records, out_records)
+        write_records_jsonl(result.records, out_records, include_timing=args.timing)
     else:
         out_records = outdir / f"{stem}.runs.csv"
         write_records_csv(result.records, out_records, include_timing=args.timing)

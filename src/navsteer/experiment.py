@@ -33,6 +33,7 @@ from .surfer import (
     DEFAULT_MAX_ITERATIONS,
     DEFAULT_TOLERANCE,
     StationaryResult,
+    check_solver_settings,
     stationary,
     transition_matrix,
 )
@@ -85,6 +86,7 @@ class SweepConfig:
             raise ValidationError("combined strategy needs bias strengths > 1")
         if self.samples_per_phi < 1:
             raise ValidationError("samples_per_phi must be at least 1")
+        check_solver_settings(self.tolerance, self.max_iterations)
 
 
 @dataclass(frozen=True)
@@ -336,11 +338,14 @@ def write_records_csv(
     write_csv(path, columns, rows)
 
 
-def write_records_jsonl(records: Iterable[RunRecord], path: str | Path) -> None:
+def write_records_jsonl(records: Iterable[RunRecord], path: str | Path,
+                        include_timing: bool = False) -> None:
     """JSON-lines record dump, one object per run, all fields included; a
-    non-finite float, which JSON lacks, is written as its ``str``."""
+    non-finite float, which JSON lacks, is written as its ``str``, and
+    ``wall_time_ms`` is null unless ``include_timing`` is set."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for r in records:
             d = {k: str(v) if isinstance(v, float) and not math.isfinite(v) else v
                  for k, v in asdict(r).items()}
+            d["wall_time_ms"] = d["wall_time_ms"] if include_timing else None
             fh.write(json.dumps(d, sort_keys=True) + "\n")

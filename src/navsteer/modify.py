@@ -224,13 +224,15 @@ def combine(
     Bias phase: eligible links are taken in the order of the keys
     E / mass with E ~ Exp(1), which has the distribution of sequential
     draws without replacement weighted by mass (Efraimidis & Spirakis,
-    IPL 97(5), 2006); zero-mass links are never taken. Each taken link's
-    weight is multiplied by ``b``, consuming (b - 1) x weight of budget.
-    Links are indivisible, and the phase stops at the first link in that
-    order that would find the remaining budget used up or too small for
-    its full cost. Whatever budget is left (rounded half-up to a unit-link
-    count) is inserted on the partially modified graph using the original
-    stationary vector.
+    IPL 97(5), 2006); zero-mass links are never taken. The keys are
+    compared as log E - log mass, which no subnormal mass overflows; a
+    draw of 0 reads -inf and is taken first, as 0 / mass would be. Each
+    taken link's weight is multiplied by ``b``, consuming (b - 1) x weight
+    of budget. Links are indivisible, and the phase stops at the first
+    link in that order that would find the remaining budget used up or
+    too small for its full cost. Whatever budget is left (rounded half-up
+    to a unit-link count) is inserted on the partially modified graph
+    using the original stationary vector.
     """
     check_bias_strength(b)
     if b == 1.0:
@@ -245,7 +247,8 @@ def combine(
     slack = _BUDGET_FIT_SLACK * max(1.0, l_b)
 
     live = np.flatnonzero(masses > 0)
-    keys = rng.exponential(size=live.size) / masses[live]
+    with np.errstate(divide="ignore"):
+        keys = np.log(rng.exponential(size=live.size)) - np.log(masses[live])
     order = live[np.argsort(keys, kind="stable")]
     costs = (b - 1.0) * weights[order]
     # cumsum adds in draw order, so spent[k] is what k sequential draws consume

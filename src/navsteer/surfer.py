@@ -119,6 +119,14 @@ def chain_period(matrix) -> int:
     return int(np.gcd.reduce(np.abs(gap, out=gap)))
 
 
+def check_solver_settings(tolerance: float, max_iterations: int) -> None:
+    """Reject a tolerance not finite and positive, or a budget below 1."""
+    if not 0 < tolerance < np.inf:  # also rejects nan
+        raise ValidationError(f"tolerance must be finite and positive, got {tolerance}")
+    if max_iterations < 1:
+        raise ValidationError("max_iterations must be at least 1")
+
+
 def _power_iteration(matrix, v, tolerance, steps, history):
     """Up to ``steps`` power steps from ``v``, appending each L1 step norm
     to ``history``; returns the last iterate and whether it converged.
@@ -148,7 +156,7 @@ class SolvePlan:
       summed from P's: entry k of Q (numbered column by column) starts as
       P's entry ``q_first[k]``, then P's entry ``p_tail[i]`` is added to
       Q's entry ``q_tail[i]`` for i = 0, 1, ... in turn, which sums each
-      entry's links in the order scipy sums duplicate links;
+      entry's links in P's order;
     - ``levels``, the censored pages by their number of links to the first
       page of S, farthest first, so each level needs only pages already
       recovered; a level is ``(pages, entries, row_ptr)``, its rows of P
@@ -187,7 +195,6 @@ def _censor(matrix) -> SolvePlan:
     n = matrix.shape[0]
     itype = matrix.indices.dtype
     single = np.bincount(matrix.indices, minlength=n) == 1
-    uncensored = SolvePlan(matrix.indptr, matrix.indices, np.zeros(n, dtype=bool))
     entry = np.flatnonzero(single[matrix.indices])
     jump = np.arange(n, dtype=itype)
     jump[matrix.indices[entry]] = np.searchsorted(matrix.indptr, entry, side="right") - 1
@@ -199,11 +206,10 @@ def _censor(matrix) -> SolvePlan:
             break
         depth += depth[jump]
         jump = jump[jump]
-    if not single.any() or single[jump].any():
-        return uncensored
-    q = _sum_order(matrix, single, jump)
+    q = (_sum_order(matrix, single, jump)
+         if single.any() and not single[jump].any() else None)
     if q is None:
-        return uncensored
+        return SolvePlan(matrix.indptr, matrix.indices, np.zeros(n, dtype=bool))
     return SolvePlan(matrix.indptr, matrix.indices, single, *q,
                      levels=_levels(matrix, single, depth))
 
@@ -213,49 +219,35 @@ def _sum_order(matrix, single, jump):
     :class:`SolvePlan`, Q in CSC form, or None when Q is periodic.
 
     Each stored link keeps its weight, its target moves to the target's
-    jump, and links out of censored pages are dropped.
-    csr_array((data, (rows, cols))) buckets those links by row, keeping
-    their order, sorts each row with csr_sort_indices and sums equal
-    (row, col) links from left to right. That sort compares columns only,
-    so the order it leaves ties in depends on the links alone: sorting the
-    links' numbers through the same call records it.
+    jump, and links out of censored pages are dropped. The links that land
+    on one (row, col) entry of Q sum from left to right in P's order.
     """
     itype = matrix.indices.dtype
     kept = ~single
     m = int(np.count_nonzero(kept))
     position = np.cumsum(kept, dtype=itype) - 1
-    links = np.flatnonzero(kept[matrix.indices]).astype(itype)
-    rows = np.repeat(position[jump], np.diff(matrix.indptr))[links]
-    order = np.argsort(rows, kind="stable")
-    indptr = np.zeros(m + 1, dtype=itype)
-    np.cumsum(np.bincount(rows, minlength=m), out=indptr[1:])
-    probe = csr_array((order.astype(np.float64), position[matrix.indices[links[order]]],
-                       indptr), shape=(m, m))
-    rows = rows[order]
-    del order                         # lowers the build's peak memory
-    probe.sort_indices()
-    # duplicate links do not change the period
-    if chain_period(probe) > 1:
-        return None
-    gather = links[probe.data.astype(itype)]
+    # P's entry numbers column by column, each column's in P's order
+    by_col = csr_array((np.arange(matrix.nnz, dtype=itype), matrix.indices,
+                        matrix.indptr), shape=matrix.shape).tocsc()
+    lengths = np.diff(by_col.indptr)
+    links = np.repeat(kept, lengths)
+    # Q's (col, row) as one key; the stable sort keeps P's order in ties
+    key = np.repeat(np.arange(m, dtype=np.int64) * m, lengths[kept])
+    key += position[jump[by_col.indices[links]]]
+    order = np.argsort(key, kind="stable")
+    key, gather = key[order], by_col.data[links][order]
+    del by_col, links, order          # lowers the build's peak memory
     # a link starts a Q entry unless it repeats the previous link's (row, col)
-    starts = np.ones(gather.size, dtype=bool)
-    starts[1:] = (probe.indices[1:] != probe.indices[:-1]) | (rows[1:] != rows[:-1])
-    q_count = np.cumsum(starts, dtype=itype)
-    # an entry's other links follow its first in scipy's order
+    starts = np.diff(key, prepend=-1) != 0
     first, tail = np.flatnonzero(starts), np.flatnonzero(~starts)
-    q_indptr = np.concatenate((np.zeros(1, itype), q_count))[probe.indptr]
-    q_indices, q_first = probe.indices[first], gather[first]
-    q_tail, p_tail = q_count[tail] - 1, gather[tail]
-    # lowers the build's peak memory, as for order
-    del probe, rows, gather, starts, q_count, first, tail
-    # renumber Q's entries column by column: entry k of the CSC form holds
-    # its number in the CSR form
-    q = csr_array((np.arange(q_first.size, dtype=itype), q_indices, q_indptr),
-                  shape=(m, m)).tocsc()
-    renumber = np.empty(q.nnz, dtype=itype)
-    renumber[q.data] = np.arange(q.nnz, dtype=itype)
-    return q.indptr, q.indices, q_first[q.data], renumber[q_tail], p_tail
+    q_indptr = np.searchsorted(key[first], np.arange(m + 1) * m).astype(itype)
+    q_indices = (key[first] % m).astype(itype)
+    q = (q_indptr, q_indices, gather[first],
+         np.cumsum(starts, dtype=itype)[tail] - 1, gather[tail])
+    del key, gather, starts, first, tail    # as above
+    # walk Q's rows, as for P; merging links does not change the period
+    rows = csc_array((np.ones(q_indices.size), q_indices, q_indptr), shape=(m, m)).tocsr()
+    return None if chain_period(rows) > 1 else q
 
 
 def _levels(matrix, single, depth):
@@ -281,7 +273,7 @@ def _censored(plan: SolvePlan, matrix):
     if plan.q_first is None:
         return matrix
     data = matrix.data[plan.q_first]
-    # unbuffered, in index order: (a + b) + c, as scipy sums
+    # unbuffered, in index order: (a + b) + c, in P's order
     np.add.at(data, plan.q_tail, matrix.data[plan.p_tail])
     m = plan.q_indptr.size - 1
     return csc_array((data, plan.q_indices, plan.q_indptr), shape=(m, m))
@@ -327,10 +319,7 @@ def stationary(
     Non-convergence raises :class:`ConvergenceError` carrying the last
     iterate over all pages and the iterated chain's residual history.
     """
-    if not 0 < tolerance < np.inf:  # also rejects nan
-        raise ValidationError(f"tolerance must be finite and positive, got {tolerance}")
-    if max_iterations < 1:
-        raise ValidationError("max_iterations must be at least 1")
+    check_solver_settings(tolerance, max_iterations)
     matrix = p.entries
     history: list[float] = []
     v, done = _power_iteration(matrix, np.full(p.n, 1.0 / p.n), tolerance, 1, history)

@@ -9,7 +9,6 @@ import csv
 import hashlib
 import json
 import os
-import re
 import subprocess
 import sys
 import tempfile
@@ -399,6 +398,38 @@ def test_sweep_rejects_workers_below_one_before_any_output(
     assert not outdir.exists() and solves == []
 
 
+@pytest.mark.parametrize("command", [
+    ["sweep", "--phi-values", "0.25", "--bias-strengths", "2", "--samples", "1"],
+    ["modify", "--strategy", "bias", "--bias-strength", "2", "--phi", "0.25"],
+])
+@pytest.mark.parametrize("setting, message", [
+    (["--tolerance", "-1"], "tolerance must be finite and positive"),
+    (["--tolerance", "nan"], "tolerance must be finite and positive"),
+    (["--max-iterations", "0"], "max_iterations must be at least 1"),
+])
+def test_bad_solver_settings_exit_before_any_output(
+        tmp_path, t4_file, capsys, monkeypatch, command, setting, message):
+    _no_solve(monkeypatch)
+    outdir = tmp_path / "out"
+    assert main([command[0], str(t4_file), *command[1:], *setting, "--seed", "1",
+                 "--output-dir", str(outdir)]) == 2
+    assert message in capsys.readouterr().err
+    assert not outdir.exists()
+
+
+def test_bad_solver_settings_in_a_config_file_exit_before_any_output(
+        tmp_path, t4_file, capsys, monkeypatch):
+    _no_solve(monkeypatch)
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text("tolerance = 0\n")
+    outdir = tmp_path / "out"
+    assert main(["sweep", str(t4_file), "--config", str(cfg), "--phi-values", "0.25",
+                 "--bias-strengths", "2", "--samples", "1", "--seed", "1",
+                 "--output-dir", str(outdir)]) == 2
+    assert "tolerance must be finite and positive" in capsys.readouterr().err
+    assert not outdir.exists()
+
+
 def test_sweep_bytes_do_not_follow_the_blas_thread_count(tmp_path):
     # OpenBLAS splits a dot product of more than 10 000 terms over its
     # threads, which moved the last bits of pi_t, pi_t_prime and tau
@@ -415,9 +446,22 @@ def test_sweep_bytes_do_not_follow_the_blas_thread_count(tmp_path):
              "--phi-values", "0.2", "--bias-strengths", "2", "--samples", "1",
              "--seed", "1", "--format", "json-lines", "--output-dir", str(outdir)],
             env=env, check=True, capture_output=True)
-        text = (outdir / "site.runs.jsonl").read_text()
-        records.append(re.sub(r'"wall_time_ms": [^,}]*', "", text))
+        records.append((outdir / "site.runs.jsonl").read_bytes())
     assert records[0] == records[1]
+
+
+def test_jsonl_sweep_bytes_do_not_follow_the_worker_count(tmp_path, t4_file):
+    # without --timing no measured time reaches the records
+    records = []
+    for workers in ("1", "2"):
+        outdir = tmp_path / f"w{workers}"
+        assert main(["sweep", str(t4_file), "--strategies", "bias,insert",
+                     "--phi-values", "0.25", "--bias-strengths", "2,5",
+                     "--samples", "3", "--seed", "12", "--format", "json-lines",
+                     "--workers", workers, "--output-dir", str(outdir)]) == 0
+        records.append((outdir / "t4.runs.jsonl").read_bytes())
+    assert records[0] == records[1]
+    assert b'"wall_time_ms": null' in records[0]
 
 
 def test_sweep_partial_failure_exit_code(tmp_path, t4_file, capsys):

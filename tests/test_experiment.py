@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -253,6 +254,21 @@ def test_a_non_target_weight_past_float64_leaves_the_record_finite(strategy):
     assert (record.d_in, record.l_b) == (1.0, 1.0)
 
 
+def test_a_subnormal_link_mass_keeps_the_combined_draws_finite():
+    # the targets' out-links of weight 1e308 leave some eligible links a
+    # subnormal mass, whose Exp(1) key E / mass overflowed
+    g = WeightedDigraph.from_edges(4, [0, 1, 2, 2, 0, 3, 1, 3, 0], [2, 2, 0, 1, 3, 0, 3, 1, 1],
+                                   [1e308, 1e308, 1, 1, 1, 1, 1, 1, 1])
+    ts = TargetSet(members=(0, 1), sample_id=0)
+    spec = ModificationSpec(Strategy.COMBINED, 2.0, alpha=0.5, seed=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        record, modified = run_single_detailed(g, ts, spec)
+    realized = float(modified.in_weights()[[0, 1]].sum() - g.in_weights()[[0, 1]].sum())
+    assert record.l_b == 5.0 and abs(realized - record.l_b) <= 0.5
+    assert record.biased_weight + record.inserted_count == realized
+
+
 class _InlinePool:
     """Stands in for ProcessPoolExecutor: records ``max_workers`` and runs
     tasks in this process, so no worker is ever started."""
@@ -417,7 +433,11 @@ def test_jsonl_round_trip(tmp_path, t4):
     assert len(rows) == len(result.records)
     assert rows[0]["graph_id"] == "t4"
     assert rows[0]["target_hash"] == result.records[0].target_hash
-    assert rows[0]["wall_time_ms"] >= 0.0        # jsonl always carries timing
+    # measured time only with include_timing, as in the CSV
+    assert all(row["wall_time_ms"] is None for row in rows)
+    write_records_jsonl(result.records, path, include_timing=True)
+    timed = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+    assert all(row["wall_time_ms"] >= 0.0 for row in timed)
 
 
 def test_failure_manifest(tmp_path, t4):

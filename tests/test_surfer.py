@@ -393,8 +393,8 @@ def test_certificate_rejects_a_wrong_vector(t4, monkeypatch):
 
 # ------------------------------------------ solve plans against the old solve
 #
-# The solve as it stood before solve plans, kept verbatim as the oracle:
-# Q summed by scipy's own duplicate handling, recovery by repeated sweeps
+# The solve as it stood before solve plans, kept as the oracle: Q's
+# merged links summed one by one in P's order, recovery by repeated sweeps
 # until nothing changes.
 
 def _old_censor(matrix):
@@ -431,7 +431,16 @@ def _old_censor(matrix):
     rows = np.repeat(position[jump], np.diff(matrix.indptr))[links]
     cols = position[matrix.indices[links]]
     m = np.count_nonzero(kept)
-    q = csr_array((matrix.data[links], (rows, cols)), shape=(m, m))
+    # links that land on one (row, col) sum from left to right in P's order
+    sums = {}
+    for r, c, w in zip(rows.tolist(), cols.tolist(), matrix.data[links].tolist()):
+        sums[r, c] = sums[r, c] + w if (r, c) in sums else w
+    keys = sorted(sums)
+    itype = matrix.indices.dtype
+    indptr = np.zeros(m + 1, dtype=itype)
+    np.cumsum(np.bincount([r for r, _ in keys], minlength=m), out=indptr[1:])
+    q = csr_array((np.array([sums[k] for k in keys]),
+                   np.array([c for _, c in keys], dtype=itype), indptr), shape=(m, m))
     if chain_period(q) > 1:
         return matrix, np.zeros(n, dtype=bool)
     return q, single
@@ -541,10 +550,15 @@ def test_planned_solve_matches_the_old_solve(g, seed, budget):
 
 
 def _merged_links_graph(k=12, per=3):
-    # page 0 links to pages 1..k, and each page j links back to 0 directly,
-    # on to page j + 1, and through ``per`` single-out-link pages, numbered
-    # in shuffled order. Censored, each j sends 1 + per links to 0 that
-    # merge into one entry of Q's row 0, which gathers k * (1 + per) links
+    """A chain whose censored links merge in a long row of Q, with unequal
+    weights, so summing them in P's order and in scipy's tie order gives
+    different bytes.
+
+    Page 0 links to pages 1..k, and each page j links back to 0 directly,
+    on to page j + 1, and through ``per`` single-out-link pages, numbered
+    in shuffled order. Censored, each j sends 1 + per links to 0 that
+    merge into one entry of Q's row 0, which gathers k * (1 + per) links.
+    """
     rng = np.random.default_rng(0)
     src, dst = [], []
     for j in range(1, k + 1):
@@ -578,11 +592,10 @@ def test_planned_solve_matches_the_old_solve_on_fixed_examples(make, budget):
     _assert_plans_match_the_old_solve(make(), 5, budget)
 
 
-def test_duplicate_links_sum_in_scipys_order():
+def test_duplicate_links_sum_in_p_order():
     p = transition_matrix(_merged_links_graph())
     plan = surfer._censor(p.entries)
     q = surfer._censored(plan, p.entries)
-    old_q, _ = _old_censor(p.entries)
     # P's links summed into each Q entry (numbered column by column), in
     # the plan's order
     summed = [[e] for e in plan.q_first.tolist()]
@@ -592,16 +605,21 @@ def test_duplicate_links_sum_in_scipys_order():
     # csr_sort_indices runs an introsort that leaves ties out of P's order
     assert max(len(links) for links in summed) >= 3
     assert max(np.bincount(q.indices, [len(links) for links in summed])) > 16
-    assert any(links != sorted(links) for links in summed)
-    q_rows = csr_array(q)
-    assert q_rows.indptr.tobytes() == old_q.indptr.tobytes()
-    assert q_rows.indices.tobytes() == old_q.indices.tobytes()
-    assert q_rows.data.tobytes() == old_q.data.tobytes()
-    assert _outcome(stationary, p) == _outcome(_old_stationary, p)
-    # summing in P's order would move bytes, so this graph tells the orders apart
-    in_p_order = [sum(p.entries.data[sorted(links)[1:]], p.entries.data[min(links)])
+    # scipy's own sum of the same links, given in P's order, moves bytes,
+    # so this graph tells the two orders apart
+    entry_of = {e: k for k, links in enumerate(summed) for e in links}
+    in_order = sorted(entry_of)
+    q_cols = np.repeat(np.arange(q.shape[1]), np.diff(q.indptr))
+    by_scipy = csr_array((p.entries.data[in_order],
+                          ([q.indices[entry_of[e]] for e in in_order],
+                           [q_cols[entry_of[e]] for e in in_order])), shape=q.shape)
+    assert by_scipy.data.tobytes() != csr_array(q).data.tobytes()
+    # each entry sums its links from left to right in P's order
+    assert all(links == sorted(links) for links in summed)
+    in_p_order = [sum(p.entries.data[links[1:]], p.entries.data[links[0]])
                   for links in summed]
-    assert np.array(in_p_order).tobytes() != q.data.tobytes()
+    assert np.array(in_p_order).tobytes() == q.data.tobytes()
+    assert _outcome(stationary, p) == _outcome(_old_stationary, p)
 
 
 def _owned_arrays(plan):
