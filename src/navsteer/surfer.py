@@ -35,12 +35,15 @@ _LORENZ_SUM_TOLERANCE = 1e-9
 @dataclass(frozen=True, eq=False)
 class TransitionMatrix:
     """Column-stochastic matrix P = W D^-1 (column j: where node j sends
-    the surfer next)."""
+    the surfer next), held in canonical CSC form, which it fixes itself."""
 
     n: int
-    entries: csr_array
+    entries: csc_array
 
     def __post_init__(self):
+        if not isinstance(self.entries, csc_array):  # new arrays, not the caller's
+            object.__setattr__(self, "entries", csc_array(self.entries, copy=True))
+        self.entries.sum_duplicates()
         if self.entries.shape != (self.n, self.n):
             raise ValidationError("transition matrix shape mismatch")
         if self.n:
@@ -86,23 +89,25 @@ def transition_matrix(g: WeightedDigraph) -> TransitionMatrix:
         raise ValidationError(f"node {g.node_labels[overflow[0]]!r} has an "
                               "out-weight too large to sum in float64")
     a = g.adjacency
-    # P keeps the graph's index type, and the whole solve takes P's
+    # P keeps the graph's index arrays, so its entry numbering and index type
     scaled = csc_array((a.data / out[column_of_entries(a)], a.indices, a.indptr),
                        shape=a.shape)
-    return TransitionMatrix(n=g.n, entries=csr_array(scaled))
+    scaled.has_canonical_format = True  # the graph's links need no re-check
+    return TransitionMatrix(n=g.n, entries=scaled)
 
 
 def chain_period(matrix) -> int:
     """Period of the chain whose links are the stored entries of a square
-    CSR matrix: the gcd of its cycle lengths, in O(n + m).
+    sparse matrix: the gcd of its cycle lengths, in O(n + m).
 
     With BFS depths ``level`` from node 0, every cycle's length is the sum
     of ``level[u] + 1 - level[v]`` over its links u -> v, and the gcd of
     those terms over all links is the period (Jarvis & Shier, 1999). The
-    direction of the links does not change cycle lengths, so the BFS runs
-    on the stored entries as they are. Returns 1 when not every node is
+    direction of the links does not change cycle lengths, so the BFS walks
+    rows, whatever the sparse form. Returns 1 when not every node is
     reached, since the chain is then reducible and has no single period.
     """
+    matrix = csr_array(matrix)
     n = matrix.shape[0]
     order, parent = breadth_first_order(matrix, 0, return_predecessors=True)
     if order.size < n:
@@ -150,7 +155,7 @@ class SolvePlan:
     A plan is built for a chain that passed the period checks on P and on
     the censored chain Q, and it holds:
 
-    - P's ``indptr`` and ``indices``, the links it was built for;
+    - P's ``indptr`` and ``indices`` (CSC), the links it was built for;
     - ``single``, the mask of the pages censored out;
     - Q's ``q_indptr`` and ``q_indices`` in CSC form, and how Q's data is
       summed from P's: entry k of Q (numbered column by column) starts as
@@ -159,8 +164,8 @@ class SolvePlan:
       entry's links in P's order;
     - ``levels``, the censored pages by their number of links to the first
       page of S, farthest first, so each level needs only pages already
-      recovered; a level is ``(pages, entries, row_ptr)``, its rows of P
-      as a CSR structure over P's ``entries``.
+      recovered; a level is ``(entries, sources)``: P's entries that link
+      into its pages, page by page, and each link's source, ascending.
 
     When nothing is censored, ``single`` is all False, Q is P itself and
     the Q fields are None.
@@ -194,10 +199,9 @@ def _censor(matrix) -> SolvePlan:
     """
     n = matrix.shape[0]
     itype = matrix.indices.dtype
-    single = np.bincount(matrix.indices, minlength=n) == 1
-    entry = np.flatnonzero(single[matrix.indices])
+    single = np.diff(matrix.indptr) == 1
     jump = np.arange(n, dtype=itype)
-    jump[matrix.indices[entry]] = np.searchsorted(matrix.indptr, entry, side="right") - 1
+    jump[single] = matrix.indices[matrix.indptr[:-1][single]]
     # pointer doubling: after k rounds jump(e) is 2^k links down the path,
     # and depth(e) counts the links from e to jump(e)
     depth = single.astype(itype)
@@ -226,17 +230,14 @@ def _sum_order(matrix, single, jump):
     kept = ~single
     m = int(np.count_nonzero(kept))
     position = np.cumsum(kept, dtype=itype) - 1
-    # P's entry numbers column by column, each column's in P's order
-    by_col = csr_array((np.arange(matrix.nnz, dtype=itype), matrix.indices,
-                        matrix.indptr), shape=matrix.shape).tocsc()
-    lengths = np.diff(by_col.indptr)
+    lengths = np.diff(matrix.indptr)
     links = np.repeat(kept, lengths)
     # Q's (col, row) as one key; the stable sort keeps P's order in ties
     key = np.repeat(np.arange(m, dtype=np.int64) * m, lengths[kept])
-    key += position[jump[by_col.indices[links]]]
+    key += position[jump[matrix.indices[links]]]
     order = np.argsort(key, kind="stable")
-    key, gather = key[order], by_col.data[links][order]
-    del by_col, links, order          # lowers the build's peak memory
+    key, gather = key[order], np.flatnonzero(links).astype(itype)[order]
+    del links, order                  # lowers the build's peak memory
     # a link starts a Q entry unless it repeats the previous link's (row, col)
     starts = np.diff(key, prepend=-1) != 0
     first, tail = np.flatnonzero(starts), np.flatnonzero(~starts)
@@ -245,26 +246,25 @@ def _sum_order(matrix, single, jump):
     q = (q_indptr, q_indices, gather[first],
          np.cumsum(starts, dtype=itype)[tail] - 1, gather[tail])
     del key, gather, starts, first, tail    # as above
-    # walk Q's rows, as for P; merging links does not change the period
-    rows = csc_array((np.ones(q_indices.size), q_indices, q_indptr), shape=(m, m)).tocsr()
-    return None if chain_period(rows) > 1 else q
+    # merging links does not change the period
+    q_links = csc_array((np.ones(q_indices.size), q_indices, q_indptr), shape=(m, m))
+    return None if chain_period(q_links) > 1 else q
 
 
 def _levels(matrix, single, depth):
-    """The censored pages' rows of P, deepest first, as the entries that
-    hold them, split where the depth changes: a level's pages depend on no
-    other page of their level."""
+    """The censored pages' rows of P, deepest first, as the entries and
+    sources of their in-links, split where the depth changes: a level's
+    pages depend on no other page of their level."""
     itype = matrix.indices.dtype
-    censored = np.flatnonzero(single).astype(itype)
-    censored = censored[np.argsort(-depth[censored])]
-    lengths = matrix.indptr[censored + 1] - matrix.indptr[censored]
+    rows = csc_array((np.arange(matrix.nnz, dtype=itype), matrix.indices,
+                      matrix.indptr), shape=matrix.shape).tocsr()
+    censored = np.flatnonzero(single)[np.argsort(-depth[single])]
+    lengths = rows.indptr[censored + 1] - rows.indptr[censored]
     row_ptr = np.concatenate(([0], np.cumsum(lengths))).astype(itype)
-    entries = np.arange(row_ptr[-1], dtype=itype)
-    entries += np.repeat(matrix.indptr[censored] - row_ptr[:-1], lengths)
-    cuts = [0, *(np.flatnonzero(np.diff(depth[censored])) + 1), censored.size]
-    return tuple((censored[a:b], entries[row_ptr[a]:row_ptr[b]],
-                  row_ptr[a:b + 1] - row_ptr[a])
-                 for a, b in zip(cuts, cuts[1:]))
+    at = np.arange(row_ptr[-1], dtype=itype)
+    at += np.repeat(rows.indptr[censored] - row_ptr[:-1], lengths)
+    cuts = row_ptr[np.flatnonzero(np.diff(depth[censored])) + 1]
+    return tuple(zip(np.split(rows.data[at], cuts), np.split(rows.indices[at], cuts)))
 
 
 def _censored(plan: SolvePlan, matrix):
@@ -281,13 +281,12 @@ def _censored(plan: SolvePlan, matrix):
 
 def _recover(plan: SolvePlan, matrix, y):
     """Full stationary vector from the censored chain's: level by level, a
-    censored page's mass is its row of P times the pages already known."""
-    n = matrix.shape[0]
-    x = np.zeros(n)
+    censored page's mass is its row of P times the pages already known,
+    summed unbuffered from 0.0 in source order, as a CSR row product is."""
+    x = np.zeros(matrix.shape[0])
     x[~plan.single] = y
-    for pages, entries, row_ptr in plan.levels:
-        x[pages] = csr_array((matrix.data[entries], matrix.indices[entries], row_ptr),
-                             shape=(pages.size, n)) @ x
+    for entries, sources in plan.levels:
+        np.add.at(x, matrix.indices[entries], matrix.data[entries] * x[sources])
     return x / x.sum()
 
 

@@ -1,0 +1,36 @@
+"""The identity tool on a tiny site: a tree against itself, and one edited hash."""
+
+import hashlib
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def identity(*args: str) -> subprocess.CompletedProcess:
+    return subprocess.run([sys.executable, "tools/identity.py", *args], cwd=ROOT,
+                          capture_output=True, text=True, timeout=600)
+
+
+def test_identity_set_names_only_what_differs(tmp_path):
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    for saved in (a, b):
+        done = identity("--src", "src", "--save", str(saved), "--nodes", "300")
+        assert done.returncode == 0, done.stderr
+    outputs = json.loads(a.read_text())["outputs"]
+    # all 11 commands exit 0, and the files they write are hashed
+    exits = [h for name, h in outputs.items() if name.endswith(": exit")]
+    assert exits == [hashlib.sha256(b"0").hexdigest()] * 11
+    assert "file sweep-csv-w2/site.runs.csv" in outputs
+    done = identity("--compare", str(a), str(b))
+    assert done.returncode == 0, done.stdout
+    assert "differs" not in done.stdout
+    edited = json.loads(b.read_text())
+    edited["outputs"]["file site.pi.csv"] = "0" * 64
+    b.write_text(json.dumps(edited))
+    done = identity("--compare", str(a), str(b))
+    assert done.returncode == 1
+    assert done.stdout.splitlines()[0] == "differs: file site.pi.csv"
+    assert "1 of" in done.stdout
