@@ -25,6 +25,7 @@ from .errors import (
     ValidationError,
 )
 from .experiment import (
+    COMBINE_STREAM,
     REALISTIC_BIAS_STRENGTHS,
     SATURATION_BIAS_STRENGTHS,
     SweepConfig,
@@ -155,10 +156,9 @@ def cmd_modify(args) -> int:
     seed = args.seed if args.seed is not None else secrets.randbits(63)
     strategy = Strategy(args.strategy)
     ts = _resolve_targets(args, g, seed)
-    combined = strategy is Strategy.COMBINED
     spec = ModificationSpec(strategy=strategy, bias_strength=args.bias_strength,
-                            alpha=args.alpha,
-                            seed=derive_seed(seed, "combine") if combined else None)
+                            alpha=args.alpha, seed=derive_seed(seed, COMBINE_STREAM)
+                            if strategy is Strategy.COMBINED else None)
     check_solver_settings(args.tolerance, args.max_iterations)
 
     outdir = Path(args.output_dir)

@@ -47,7 +47,7 @@ SATURATION_BIAS_STRENGTHS = (2.0, 5.0, 10.0, 20.0, 35.0, 50.0, 100.0, 150.0, 200
 DEFAULT_PHI_VALUES = (0.01, 0.02, 0.05, 0.1, 0.15, 0.2)
 DEFAULT_ALPHA_VALUES = tuple(i / 10 for i in range(11))
 
-_COMBINE_STREAM = "combine"
+COMBINE_STREAM = "combine"
 
 
 @dataclass(frozen=True)
@@ -252,7 +252,7 @@ def _run_in_worker(task: _Task) -> RunRecord | RunFailure:
 
 def _make_spec(strategy: Strategy, b: float, alpha: float | None,
                master_seed: int, phi: float, sample_id: int) -> ModificationSpec:
-    seed = (derive_seed(master_seed, _COMBINE_STREAM, float(phi), sample_id,
+    seed = (derive_seed(master_seed, COMBINE_STREAM, float(phi), sample_id,
                         float(b), float(alpha))
             if strategy is Strategy.COMBINED else None)
     return ModificationSpec(strategy=strategy, bias_strength=b, alpha=alpha, seed=seed)

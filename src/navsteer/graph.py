@@ -35,9 +35,9 @@ class WeightedDigraph:
     retrievable in time proportional to its out-degree. Stored weights are
     strictly positive and the diagonal is empty (no self-loops). A graph
     built without ``node_labels`` labels each node by its index. The graph
-    fixes the matrix's form, so no caller has to: canonical (duplicates
-    summed, indices sorted), with int32 index arrays whenever they fit.
-    Its in- and out-weights are summed once, into read-only arrays.
+    takes its matrix in any sparse form and fixes it with
+    :func:`canonical_csc`, so no caller has to. Its in- and out-weights
+    are summed once, into read-only arrays.
     """
 
     n: int
@@ -49,12 +49,8 @@ class WeightedDigraph:
         if a.shape != (self.n, self.n):
             raise ValidationError(
                 f"adjacency shape {a.shape} does not match n={self.n}")
-        index = np.int32 if max(a.nnz, self.n) <= np.iinfo(np.int32).max else np.int64
-        if a.indices.dtype != index:  # scipy keeps indptr of the same type
-            a = csc_array((a.data, a.indices.astype(index), a.indptr.astype(index)),
-                          shape=a.shape)
-            object.__setattr__(self, "adjacency", a)
-        a.sum_duplicates()
+        a = canonical_csc(a)
+        object.__setattr__(self, "adjacency", a)
         if self.node_labels is None:
             object.__setattr__(self, "node_labels",
                                tuple(map(str, range(self.n))))
@@ -138,6 +134,21 @@ class WeightedDigraph:
         adj = csc_array((data, a.indices, a.indptr), shape=a.shape)
         adj.has_canonical_format = True  # the same links need no re-check
         return self.with_adjacency(adj)
+
+
+def canonical_csc(a) -> csc_array:
+    """Any scipy sparse matrix in canonical CSC form (duplicates summed,
+    indices sorted), with int32 index arrays whenever they fit. A
+    ``csc_array`` is fixed in place, and given new index arrays if its own
+    are of the other type; any other form is converted into new arrays."""
+    if not isinstance(a, csc_array):
+        a = csc_array(a, copy=True)
+    a.sum_duplicates()
+    index = np.int32 if max(a.nnz, *a.shape) <= np.iinfo(np.int32).max else np.int64
+    if a.indices.dtype != index:  # scipy keeps indptr of the same type
+        a = csc_array((a.data, a.indices.astype(index), a.indptr.astype(index)),
+                      shape=a.shape)
+    return a
 
 
 def _axis_sums(a: csc_array, axis: int) -> np.ndarray:

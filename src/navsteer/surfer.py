@@ -22,7 +22,7 @@ from .errors import (
     PeriodicChainError,
     ValidationError,
 )
-from .graph import WeightedDigraph, column_of_entries
+from .graph import WeightedDigraph, canonical_csc, column_of_entries
 
 DEFAULT_TOLERANCE = 1e-12
 DEFAULT_MAX_ITERATIONS = 100_000
@@ -35,15 +35,13 @@ _LORENZ_SUM_TOLERANCE = 1e-9
 @dataclass(frozen=True, eq=False)
 class TransitionMatrix:
     """Column-stochastic matrix P = W D^-1 (column j: where node j sends
-    the surfer next), held in canonical CSC form, which it fixes itself."""
+    the surfer next), fixed into canonical CSC by :func:`canonical_csc`."""
 
     n: int
     entries: csc_array
 
     def __post_init__(self):
-        if not isinstance(self.entries, csc_array):  # new arrays, not the caller's
-            object.__setattr__(self, "entries", csc_array(self.entries, copy=True))
-        self.entries.sum_duplicates()
+        object.__setattr__(self, "entries", canonical_csc(self.entries))
         if self.entries.shape != (self.n, self.n):
             raise ValidationError("transition matrix shape mismatch")
         if self.n:
@@ -259,12 +257,9 @@ def _levels(matrix, single, depth):
     rows = csc_array((np.arange(matrix.nnz, dtype=itype), matrix.indices,
                       matrix.indptr), shape=matrix.shape).tocsr()
     censored = np.flatnonzero(single)[np.argsort(-depth[single])]
-    lengths = rows.indptr[censored + 1] - rows.indptr[censored]
-    row_ptr = np.concatenate(([0], np.cumsum(lengths))).astype(itype)
-    at = np.arange(row_ptr[-1], dtype=itype)
-    at += np.repeat(rows.indptr[censored] - row_ptr[:-1], lengths)
-    cuts = row_ptr[np.flatnonzero(np.diff(depth[censored])) + 1]
-    return tuple(zip(np.split(rows.data[at], cuts), np.split(rows.indices[at], cuts)))
+    rows = rows[censored]
+    cuts = rows.indptr[np.flatnonzero(np.diff(depth[censored])) + 1]
+    return tuple(zip(np.split(rows.data, cuts), np.split(rows.indices, cuts)))
 
 
 def _censored(plan: SolvePlan, matrix):
@@ -299,37 +294,34 @@ def stationary(
     """Stationary distribution by power iteration until the L1 step norm
     falls below ``tolerance``.
 
-    One step from the uniform vector comes first; a chain it already
-    satisfies returns with 1 iteration and no plan. Then the solve needs a
-    :class:`SolvePlan`. Without ``plan`` a periodic chain raises
-    :class:`PeriodicChainError` before any further step. A ``plan`` (an
-    earlier result's) states that P holds its links and maybe more, as no
+    Only a periodic chain solved without ``plan`` takes a step from the
+    uniform vector: one that it settles (a pure cycle) returns with 1
+    iteration and no plan, any other raises :class:`PeriodicChainError`.
+    Every other solve needs a :class:`SolvePlan`. A ``plan`` (an earlier
+    result's) states that P holds its links and maybe more, as no
     modification removes one, so P keeps every cycle of the plan's
     aperiodic chain: the plan is reused when its links equal P's, else
     rebuilt for P with no check of P. (A plan of an unrelated chain is a
     caller error; a periodic P then fails only as its iteration does.)
-    The chain the plan picks is iterated from its uniform vector (with
-    nothing censored it is P, and its first step repeats the uniform one),
-    ``iterations`` counts its steps, censored pages are recovered, and the
-    result must satisfy ||P pi - pi||_1 <= max(1e-9, 1e3 * tolerance),
-    which guards pi whatever the plan. The result carries the plan it
-    used. A plan changes no output byte.
+    The chain the plan picks (P when nothing is censored) is iterated from
+    its uniform vector, ``iterations`` counts its steps, censored pages
+    are recovered, and the result must satisfy ||P pi - pi||_1 <=
+    max(1e-9, 1e3 * tolerance), which guards pi whatever the plan. The
+    result carries the plan it used. A plan changes no output byte.
 
     Non-convergence raises :class:`ConvergenceError` carrying the last
     iterate over all pages and the iterated chain's residual history.
     """
     check_solver_settings(tolerance, max_iterations)
-    matrix = p.entries
-    history: list[float] = []
-    v, done = _power_iteration(matrix, np.full(p.n, 1.0 / p.n), tolerance, 1, history)
-    if done:
-        return StationaryResult(pi=v, iterations=1, residual=history[-1])
+    matrix, history = p.entries, []
     if plan is None and (period := chain_period(matrix)) > 1:
+        v, done = _power_iteration(matrix, np.full(p.n, 1.0 / p.n), tolerance, 1, history)
+        if done:
+            return StationaryResult(pi=v, iterations=1, residual=history[-1])
         raise PeriodicChainError(period, last_iterate=v, residual_history=history)
     if plan is None or not plan.fits(matrix):
         plan = _censor(matrix)
     q = _censored(plan, matrix)
-    history = []
     y, done = _power_iteration(q, np.full(q.shape[0], 1.0 / q.shape[0]),
                                tolerance, max_iterations, history)
     # recovering an empty set would renormalise y and move its last bits

@@ -6,10 +6,17 @@ boolean transitive closure. Tests compare the fast implementations
 against these slow-but-obvious references.
 """
 
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from navsteer import WeightedDigraph
+
+# the identity set solves this graph too, so both read one definition
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
+from identity import _merged_links_graph  # noqa: E402
 
 # Four-page toy site: p1->p4, p2->p1, p2->p3, p3->p2, p3->p4, p4->p2.
 # Its stationary vector is (2, 4, 2, 3) / 11.

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.sparse import csc_array
+from scipy.sparse import coo_array, csc_array, csc_matrix, csr_array
 
 from navsteer import (
     EdgeListParseError,
@@ -337,8 +337,25 @@ def _unsorted_int64_adjacency():
                       np.array([0, 3, 4, 5])), shape=(3, 3))
 
 
+def _adjacency_forms():
+    """``_unsorted_int64_adjacency()`` in the other sparse forms a graph
+    may be given, duplicates and all."""
+    a = _unsorted_int64_adjacency()
+    rows = csr_array(a)
+    assert rows.indices.dtype == np.int64  # a sparse array keeps its index type
+
+    def narrow(m):
+        return m.indices.astype(np.int32), m.indptr.astype(np.int32)
+
+    return {"csr int64": rows,
+            "csr int32": csr_array((rows.data, *narrow(rows)), shape=a.shape),
+            "coo": coo_array(a),
+            "csc_matrix": csc_matrix((a.data, *narrow(a)), shape=a.shape)}
+
+
 def _built_graphs():
-    """One graph from every constructor and strategy that makes one."""
+    """One graph from every constructor and strategy that makes one, and
+    from every sparse form the constructor takes."""
     text = "a\tb\na\tb\t2\nb\tc\nc\ta\nc\tb\n"
     loaded = load_edge_list(io.StringIO(text))
     synth = scale_free_graph(200, seed=4)
@@ -353,12 +370,15 @@ def _built_graphs():
         "insert_links": insert_links(synth, t, pi, 40),
         "combine": combine(synth, t, pi, 3.0, 0.5, np.random.default_rng(0))[0],
         "constructor": WeightedDigraph(3, _unsorted_int64_adjacency()),
+        **{f"constructor from {form}": WeightedDigraph(3, a)
+           for form, a in _adjacency_forms().items()},
     }
 
 
 @pytest.mark.parametrize("name", sorted(_built_graphs()))
 def test_every_graph_fixes_its_sparse_form(name):
     g = _built_graphs()[name]
+    assert isinstance(g.adjacency, csc_array)
     assert g.adjacency.indices.dtype == np.int32
     assert g.adjacency.indptr.dtype == np.int32
     assert g.adjacency.has_canonical_format
@@ -367,10 +387,15 @@ def test_every_graph_fixes_its_sparse_form(name):
 
 
 def test_constructor_sums_duplicates_and_sorts():
-    a = WeightedDigraph(3, _unsorted_int64_adjacency()).adjacency
-    assert a.indices.tolist() == [1, 2, 2, 0]
-    assert a.indptr.tolist() == [0, 2, 3, 4]
-    assert a.data.tolist() == [2.0, 4.0, 4.0, 5.0]
+    # every sparse form gives the graph that the CSC form gives, and the
+    # caller's matrix, fixed in place or not, still holds the same values
+    for given in (_unsorted_int64_adjacency(), *_adjacency_forms().values()):
+        dense = given.toarray()
+        a = WeightedDigraph(3, given).adjacency
+        assert a.indices.tolist() == [1, 2, 2, 0]
+        assert a.indptr.tolist() == [0, 2, 3, 4]
+        assert a.data.tolist() == [2.0, 4.0, 4.0, 5.0]
+        assert np.array_equal(given.toarray(), dense)
 
 
 def _adjacency(rows, cols, data, n=2):

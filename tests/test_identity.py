@@ -1,4 +1,6 @@
-"""The identity tool on a tiny site: a tree against itself, and one edited hash."""
+"""The identity tool on a tiny site and a tiny solve set (the 300-page
+graph and the merged-links graph): a tree against itself, and edited
+hashes."""
 
 import hashlib
 import json
@@ -17,16 +19,23 @@ def identity(*args: str) -> subprocess.CompletedProcess:
 def test_identity_set_names_only_what_differs(tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     for saved in (a, b):
-        done = identity("--src", "src", "--save", str(saved), "--nodes", "300")
+        done = identity("--src", "src", "--save", str(saved), "--nodes", "300",
+                        "--solve-pages", "300")
         assert done.returncode == 0, done.stderr
     outputs = json.loads(a.read_text())["outputs"]
     # all 11 commands exit 0, and the files they write are hashed
     exits = [h for name, h in outputs.items() if name.endswith(": exit")]
     assert exits == [hashlib.sha256(b"0").hexdigest()] * 11
     assert "file sweep-csv-w2/site.runs.csv" in outputs
+    # 2 graphs x 5 chains x 7 budgets
+    solves = [name for name in outputs if name.startswith("solve ")]
+    assert len(solves) == 70
+    assert "solve merged-links insert budget 3" in solves
+    assert "solve synth-300 combined-a1 budget full" in solves
     done = identity("--compare", str(a), str(b))
     assert done.returncode == 0, done.stdout
     assert "differs" not in done.stdout
+    assert "0 of 70 solves differ" in done.stdout
     edited = json.loads(b.read_text())
     edited["outputs"]["file site.pi.csv"] = "0" * 64
     b.write_text(json.dumps(edited))
@@ -34,3 +43,10 @@ def test_identity_set_names_only_what_differs(tmp_path):
     assert done.returncode == 1
     assert done.stdout.splitlines()[0] == "differs: file site.pi.csv"
     assert "1 of" in done.stdout
+    edited["outputs"]["solve synth-300 bias budget 2"] = "0" * 64
+    b.write_text(json.dumps(edited))
+    done = identity("--compare", str(a), str(b))
+    assert done.returncode == 1
+    assert done.stdout.splitlines()[:2] == ["differs: file site.pi.csv",
+                                            "differs: solve synth-300 bias budget 2"]
+    assert "1 of 70 solves differ" in done.stdout

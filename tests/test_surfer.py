@@ -31,7 +31,8 @@ from navsteer.surfer import (
 )
 from navsteer.synth import scale_free_graph
 
-from conftest import T4_PI, dense_stationary, make_t4, random_scc_graph
+from conftest import (T4_PI, _merged_links_graph, dense_stationary, make_t4,
+                      random_scc_graph)
 
 
 def test_transition_columns_are_stochastic(t4):
@@ -69,6 +70,27 @@ def test_transition_matrix_fixes_the_form_it_is_given(form):
     p = transition_matrix(scale_free_graph(300, seed=2))
     given = TransitionMatrix(p.n, form(p.entries))
     assert isinstance(given.entries, csc_array) and given.entries.has_canonical_format
+    assert _outcome(stationary, given) == _outcome(stationary, p)
+
+
+def _wide(matrix, form):
+    """``matrix`` in sparse ``form`` with int64 index arrays, which a
+    scipy sparse array keeps."""
+    given = form(matrix)
+    if form is coo_array:
+        return coo_array((given.data, tuple(c.astype(np.int64) for c in given.coords)),
+                         shape=given.shape)
+    return form((given.data, given.indices.astype(np.int64),
+                 given.indptr.astype(np.int64)), shape=given.shape)
+
+
+@pytest.mark.parametrize("form", [csc_array, csr_array, coo_array])
+def test_transition_matrix_narrows_wide_index_arrays(form):
+    p = transition_matrix(scale_free_graph(300, seed=2))
+    given = TransitionMatrix(p.n, _wide(p.entries, form))
+    assert isinstance(given.entries, csc_array) and given.entries.has_canonical_format
+    for name in ("indices", "indptr", "data"):
+        assert getattr(given.entries, name).tobytes() == getattr(p.entries, name).tobytes()
     assert _outcome(stationary, given) == _outcome(stationary, p)
 
 
@@ -112,6 +134,34 @@ def test_uniform_cycle_converges_immediately():
     res = stationary(transition_matrix(g))
     assert res.iterations == 1
     assert np.allclose(res.pi, 1 / 3)
+
+
+def test_a_doubly_stochastic_aperiodic_chain_settles_on_its_plan():
+    # every page has two out-links and two in-links, and the cycles
+    # 0 -> 2 -> 0 and 0 -> 1 -> 2 -> 0 make the chain aperiodic
+    g = WeightedDigraph.from_edges(4, [0, 0, 1, 1, 2, 2, 3, 3],
+                                   [1, 2, 2, 3, 3, 0, 0, 1])
+    res = stationary(transition_matrix(g))
+    assert res.iterations == 1
+    assert np.allclose(res.pi, 0.25)
+    assert res.plan is not None
+
+
+@pytest.mark.parametrize("planned", [False, True])
+def test_an_aperiodic_solve_runs_one_power_loop(monkeypatch, planned):
+    g = scale_free_graph(300, seed=2)
+    base = stationary(transition_matrix(g))
+    p = transition_matrix(_reweighted(g, 5) if planned else g)
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return _power_iteration(*args)
+
+    monkeypatch.setattr(surfer, "_power_iteration", spy)
+    res = stationary(p, plan=base.plan if planned else None)
+    assert len(calls) == 1
+    assert res.plan is not None and (res.plan is base.plan) == planned
 
 
 def test_matches_dense_solve_on_random_graphs():
@@ -584,31 +634,6 @@ def _assert_plans_match_the_old_solve(g, seed, budget):
 @given(censorable_graphs(), st.integers(0, 2**32 - 1), st.sampled_from([1, 2, 5, 20, 5000]))
 def test_planned_solve_matches_the_old_solve(g, seed, budget):
     _assert_plans_match_the_old_solve(g, seed, budget)
-
-
-def _merged_links_graph(k=12, per=3):
-    """A chain whose censored links merge in a long row of Q, with unequal
-    weights, so summing them in P's order and in scipy's tie order gives
-    different bytes.
-
-    Page 0 links to pages 1..k, and each page j links back to 0 directly,
-    on to page j + 1, and through ``per`` single-out-link pages, numbered
-    in shuffled order. Censored, each j sends 1 + per links to 0 that
-    merge into one entry of Q's row 0, which gathers k * (1 + per) links.
-    """
-    rng = np.random.default_rng(0)
-    src, dst = [], []
-    for j in range(1, k + 1):
-        src += [0, j, j]
-        dst += [j, 0, j % k + 1]
-    single = iter(rng.permutation(np.arange(k + 1, k + 1 + k * per)).tolist())
-    for j in range(1, k + 1):
-        for _ in range(per):
-            s = next(single)
-            src += [j, s]
-            dst += [s, 0]
-    return WeightedDigraph.from_edges(k + 1 + k * per, src, dst,
-                                      rng.uniform(0.1, 5.0, size=len(src)))
 
 
 def _period_three_graph():
