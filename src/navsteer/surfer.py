@@ -45,8 +45,10 @@ class TransitionMatrix:
         if self.entries.shape != (self.n, self.n):
             raise ValidationError("transition matrix shape mismatch")
         if self.n:
-            col_sums = np.asarray(self.entries.sum(axis=0)).ravel()
-            if np.max(np.abs(col_sums - 1.0)) > 1e-12:
+            # the column sums scipy computes; an empty column sums to 0 and fails
+            e = self.entries
+            if not np.all(np.diff(e.indptr)) or np.max(np.abs(
+                    np.add.reduceat(e.data, e.indptr[:-1]) - 1.0)) > 1e-12:
                 raise ValidationError("transition matrix columns must sum to 1")
             if np.any(self.entries.data < 0) or np.any(self.entries.data > 1):
                 raise ValidationError("transition probabilities must lie in [0, 1]")
@@ -103,9 +105,12 @@ def chain_period(matrix) -> int:
     those terms over all links is the period (Jarvis & Shier, 1999). The
     direction of the links does not change cycle lengths, so the BFS walks
     rows, whatever the sparse form. Returns 1 when not every node is
-    reached, since the chain is then reducible and has no single period.
+    reached, since the chain is then reducible and has no single period,
+    and before the search when a diagonal entry makes a cycle of length 1.
     """
     matrix = csr_array(matrix)
+    if matrix.diagonal().any():  # a self-loop is a cycle of length 1
+        return 1
     n = matrix.shape[0]
     order, parent = breadth_first_order(matrix, 0, return_predecessors=True)
     if order.size < n:
@@ -135,11 +140,16 @@ def _power_iteration(matrix, v, tolerance, steps, history):
     to ``history``; returns the last iterate and whether it converged.
 
     The iterate is renormalized every step to suppress floating-point drift.
+    The product runs over the CSC entries in storage order, as COO: each
+    page sums the same terms in the same order from 0.0, as in the CSC
+    product, but in one flat loop instead of one loop per short column.
     """
+    matrix, step = matrix.tocoo(copy=False), np.empty_like(v)
     for _ in range(steps):
         v_next = matrix @ v
         v_next /= v_next.sum()
-        history.append(float(np.abs(v_next - v).sum()))
+        np.subtract(v_next, v, out=step)
+        history.append(float(np.abs(step, out=step).sum()))
         v = v_next
         if history[-1] < tolerance:
             return v, True

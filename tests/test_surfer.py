@@ -763,3 +763,72 @@ def test_a_periodic_chain_raises_before_any_plan_is_built(monkeypatch):
         with pytest.raises(PeriodicChainError) as err:
             stationary(transition_matrix(make()))
         assert err.value.period == period
+
+
+def test_a_diagonal_entry_answers_the_period_before_the_search(monkeypatch):
+    def search(*args, **kwargs):
+        raise AssertionError("the breadth-first search ran")
+
+    p = transition_matrix(_deep_chain_graph()).entries
+    q = surfer._censored(surfer._censor(p), p)  # page 0 gains a self-loop
+    monkeypatch.setattr(surfer, "breadth_first_order", search)
+    # the 3-cycle 0 -> 1 -> 2 -> 0 with a self-loop on page 1
+    assert chain_period(_csr([1, 2, 0, 1], [0, 1, 2, 1], np.ones(4), n=3)) == 1
+    assert chain_period(q) == 1
+
+
+# ----------------------------------------------------- the power loop's product
+
+def _synth_chain():
+    return scale_free_graph(3000, seed=5)
+
+
+def _insertion_chain():
+    g = _synth_chain()
+    base = stationary(transition_matrix(g))
+    t = np.zeros(g.n)
+    t[np.random.default_rng(5).choice(g.n, 50, replace=False)] = 1.0
+    return insert_links(g, t, base.pi, 200)
+
+
+def _csc_power_iteration(matrix, v, tolerance, steps, history):
+    """The power loop as it multiplied by the CSC matrix itself."""
+    for _ in range(steps):
+        v_next = matrix @ v
+        v_next /= v_next.sum()
+        history.append(float(np.abs(v_next - v).sum()))
+        v = v_next
+        if history[-1] < tolerance:
+            return v, True
+    return v, False
+
+
+@pytest.mark.parametrize("make", [_merged_links_graph, _synth_chain, _insertion_chain])
+def test_the_entry_order_product_is_the_csc_product(make):
+    p = transition_matrix(make()).entries
+    q = surfer._censored(surfer._censor(p), p)
+    assert isinstance(q, csc_array) and q.shape[0] < p.shape[0]
+    v = np.random.default_rng(0).random(q.shape[0])
+    assert (q.tocoo(copy=False) @ v).tobytes() == (q @ v).tobytes()
+    runs = []
+    for loop in (_power_iteration, _csc_power_iteration):
+        history = []
+        y, done = loop(q, np.full(q.shape[0], 1.0 / q.shape[0]),
+                       DEFAULT_TOLERANCE, DEFAULT_MAX_ITERATIONS, history)
+        runs.append((y.tobytes(), done, history))
+    assert runs[0] == runs[1] and runs[0][1]
+
+
+def test_an_aperiodic_solve_multiplies_by_a_csc_matrix_once(monkeypatch):
+    p = transition_matrix(scale_free_graph(300, seed=2))
+    products, matmul = [], csc_array.__matmul__
+
+    def counted(self, other):
+        products.append(self.shape)
+        return matmul(self, other)
+
+    monkeypatch.setattr(csc_array, "__matmul__", counted)
+    res = stationary(p)
+    assert res.plan.levels and res.iterations > 1
+    # only the certificate's product ||P pi - pi|| is left
+    assert products == [p.entries.shape]
