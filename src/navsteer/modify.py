@@ -258,7 +258,7 @@ def combine(
     k = int(np.argmax(np.append(stops, True)))
     consumed = float(spent[k])
 
-    modified = _biased(g, pos[order[:k]], b)
+    modified = _biased(g, pos[order[:k]], b) if k else g
     insert_count = max(round_half_up(l_b - consumed), 0)
     if insert_count:
         modified = insert_links(modified, t, pi, insert_count)

@@ -105,12 +105,9 @@ def chain_period(matrix) -> int:
     those terms over all links is the period (Jarvis & Shier, 1999). The
     direction of the links does not change cycle lengths, so the BFS walks
     rows, whatever the sparse form. Returns 1 when not every node is
-    reached, since the chain is then reducible and has no single period,
-    and before the search when a diagonal entry makes a cycle of length 1.
+    reached, since the chain is then reducible and has no single period.
     """
     matrix = csr_array(matrix)
-    if matrix.diagonal().any():  # a self-loop is a cycle of length 1
-        return 1
     n = matrix.shape[0]
     order, parent = breadth_first_order(matrix, 0, return_predecessors=True)
     if order.size < n:
@@ -165,28 +162,21 @@ class SolvePlan:
 
     - P's ``indptr`` and ``indices`` (CSC), the links it was built for;
     - ``single``, the mask of the pages censored out;
-    - Q's ``q_indptr`` and ``q_indices`` in CSC form, and how Q's data is
-      summed from P's: entry k of Q (numbered column by column) starts as
-      P's entry ``q_first[k]``, then P's entry ``p_tail[i]`` is added to
-      Q's entry ``q_tail[i]`` for i = 0, 1, ... in turn, which sums each
-      entry's links in P's order;
+    - ``to_s``, the row map R of Q = R P[:, S]: page i's mass lands on
+      the page at position ``to_s[i]`` of the kept pages S;
     - ``levels``, the censored pages by their number of links to the first
       page of S, farthest first, so each level needs only pages already
       recovered; a level is ``(entries, sources)``: P's entries that link
       into its pages, page by page, and each link's source, ascending.
 
     When nothing is censored, ``single`` is all False, Q is P itself and
-    the Q fields are None.
+    ``to_s`` is None.
     """
 
     indptr: np.ndarray
     indices: np.ndarray
     single: np.ndarray
-    q_indptr: np.ndarray | None = None
-    q_indices: np.ndarray | None = None
-    q_first: np.ndarray | None = None
-    q_tail: np.ndarray | None = None
-    p_tail: np.ndarray | None = None
+    to_s: np.ndarray | None = None
     levels: tuple[tuple[np.ndarray, ...], ...] = ()
 
     def fits(self, matrix) -> bool:
@@ -195,15 +185,17 @@ class SolvePlan:
                 and np.array_equal(self.indices, matrix.indices))
 
 
-def _censor(matrix) -> SolvePlan:
-    """Plan of the chain censored to the pages with more than one out-link.
+def _censor(matrix):
+    """``(plan, chain)``: the plan of the chain censored to the pages with
+    more than one out-link, and the chain it iterates.
 
     A page e with a single out-link passes all its mass on, so its mass
     lands on ``jump(e)``, the first other page on its successor path. Q
     moves each link's target to its jump and keeps the other pages S; its
     stationary vector is pi restricted to S, renormalised (Meyer, SIAM
-    Review 31(2), 1989). Nothing is censored when no page has a single
-    out-link, when such pages close a loop, or when Q would be periodic.
+    Review 31(2), 1989). Nothing is censored, and the chain is
+    ``matrix`` itself, when no page has a single out-link, when such pages
+    close a loop, or when Q is periodic.
     """
     n = matrix.shape[0]
     itype = matrix.indices.dtype
@@ -218,45 +210,15 @@ def _censor(matrix) -> SolvePlan:
             break
         depth += depth[jump]
         jump = jump[jump]
-    q = (_sum_order(matrix, single, jump)
-         if single.any() and not single[jump].any() else None)
-    if q is None:
-        return SolvePlan(matrix.indptr, matrix.indices, np.zeros(n, dtype=bool))
-    return SolvePlan(matrix.indptr, matrix.indices, single, *q,
-                     levels=_levels(matrix, single, depth))
-
-
-def _sum_order(matrix, single, jump):
-    """``(q_indptr, q_indices, q_first, q_tail, p_tail)`` of a
-    :class:`SolvePlan`, Q in CSC form, or None when Q is periodic.
-
-    Each stored link keeps its weight, its target moves to the target's
-    jump, and links out of censored pages are dropped. The links that land
-    on one (row, col) entry of Q sum from left to right in P's order.
-    """
-    itype = matrix.indices.dtype
-    kept = ~single
-    m = int(np.count_nonzero(kept))
-    position = np.cumsum(kept, dtype=itype) - 1
-    lengths = np.diff(matrix.indptr)
-    links = np.repeat(kept, lengths)
-    # Q's (col, row) as one key; the stable sort keeps P's order in ties
-    key = np.repeat(np.arange(m, dtype=np.int64) * m, lengths[kept])
-    key += position[jump[matrix.indices[links]]]
-    order = np.argsort(key, kind="stable")
-    key, gather = key[order], np.flatnonzero(links).astype(itype)[order]
-    del links, order                  # lowers the build's peak memory
-    # a link starts a Q entry unless it repeats the previous link's (row, col)
-    starts = np.diff(key, prepend=-1) != 0
-    first, tail = np.flatnonzero(starts), np.flatnonzero(~starts)
-    q_indptr = np.searchsorted(key[first], np.arange(m + 1) * m).astype(itype)
-    q_indices = (key[first] % m).astype(itype)
-    q = (q_indptr, q_indices, gather[first],
-         np.cumsum(starts, dtype=itype)[tail] - 1, gather[tail])
-    del key, gather, starts, first, tail    # as above
-    # merging links does not change the period
-    q_links = csc_array((np.ones(q_indices.size), q_indices, q_indptr), shape=(m, m))
-    return None if chain_period(q_links) > 1 else q
+    if single.any() and not single[jump].any():
+        to_s = (np.cumsum(~single, dtype=itype) - 1)[jump]
+        plan = SolvePlan(matrix.indptr, matrix.indices, single, to_s,
+                         _levels(matrix, single, depth))
+        q = _censored(plan, matrix)
+        # a diagonal entry is a cycle of length 1; merging links keeps the period
+        if np.any(q.indices == column_of_entries(q)) or chain_period(q) == 1:
+            return plan, q
+    return SolvePlan(matrix.indptr, matrix.indices, np.zeros(n, dtype=bool)), matrix
 
 
 def _levels(matrix, single, depth):
@@ -273,15 +235,21 @@ def _levels(matrix, single, depth):
 
 
 def _censored(plan: SolvePlan, matrix):
-    """The chain to iterate: Q with ``matrix``'s weights, or ``matrix``
-    itself when the plan censors nothing."""
-    if plan.q_first is None:
+    """The chain to iterate: Q = R P[:, S] with ``matrix``'s weights, or
+    ``matrix`` itself when the plan censors nothing.
+
+    Column i of R holds a single 1 in row ``to_s[i]``. The product walks
+    each kept column of P in storage order and adds every link into its Q
+    entry from 0.0, so the links merged into one entry sum left to right
+    in P's order.
+    """
+    if plan.to_s is None:
         return matrix
-    data = matrix.data[plan.q_first]
-    # unbuffered, in index order: (a + b) + c, in P's order
-    np.add.at(data, plan.q_tail, matrix.data[plan.p_tail])
-    m = plan.q_indptr.size - 1
-    return csc_array((data, plan.q_indices, plan.q_indptr), shape=(m, m))
+    kept = matrix[:, ~plan.single]
+    n, m = kept.shape
+    r = csc_array((np.ones(n), plan.to_s, np.arange(n + 1, dtype=plan.to_s.dtype)),
+                  shape=(m, n))
+    return canonical_csc(r @ kept)
 
 
 def _recover(plan: SolvePlan, matrix, y):
@@ -330,8 +298,9 @@ def stationary(
             return StationaryResult(pi=v, iterations=1, residual=history[-1])
         raise PeriodicChainError(period, last_iterate=v, residual_history=history)
     if plan is None or not plan.fits(matrix):
-        plan = _censor(matrix)
-    q = _censored(plan, matrix)
+        plan, q = _censor(matrix)
+    else:
+        q = _censored(plan, matrix)
     y, done = _power_iteration(q, np.full(q.shape[0], 1.0 / q.shape[0]),
                                tolerance, max_iterations, history)
     # recovering an empty set would renormalise y and move its last bits

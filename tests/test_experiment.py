@@ -199,15 +199,24 @@ def test_runs_check_no_period_of_the_modified_chain(monkeypatch, spec):
     baseline = stationary(transition_matrix(g))
     assert baseline.plan is not None
     shapes = _period_checks(monkeypatch)
+    built, censor = [], surfer._censor
+
+    def build(matrix):
+        built.append(censor(matrix))
+        return built[-1]
+
+    monkeypatch.setattr(surfer, "_censor", build)
     ts = TargetSet(members=tuple(range(0, g.n, 20)), sample_id=0)
     record, modified = run_single_detailed(g, ts, spec, baseline=baseline)
     assert (g.n, g.n) not in shapes
     if spec.strategy is Strategy.CLICK_BIAS:
-        assert shapes == []                       # the baseline's plan is reused
+        assert shapes == [] and built == []       # the baseline's plan is reused
     else:
-        # the new plan's censored chain Q is still checked
+        # a new plan censors only once its Q passed the period check, which
+        # a diagonal entry of Q answers without a search
         assert record.inserted_count > 0 and modified.edge_count() > g.edge_count()
-        assert shapes and all(m < g.n for m, _ in shapes)
+        [(plan, q)] = built
+        assert plan.to_s is not None and all(shape == q.shape for shape in shapes)
 
 
 def test_a_run_without_a_baseline_plan_checks_the_period(monkeypatch):

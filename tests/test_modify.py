@@ -17,6 +17,7 @@ from navsteer import (
     stationary,
     transition_matrix,
 )
+from navsteer import modify
 from navsteer.graph import column_of_entries
 from navsteer.surfer import chain_period
 from navsteer.synth import scale_free_graph
@@ -511,6 +512,23 @@ def test_combine_alpha_zero_equals_insertion():
         assert (merged.adjacency != pure.adjacency).nnz == 0
         assert np.array_equal(merged.adjacency.data, pure.adjacency.data)
         assert budget.biased_weight == 0.0
+
+
+def test_combine_alpha_zero_copies_no_graph_before_inserting(monkeypatch):
+    g = scale_free_graph(300, seed=4)
+    t = np.zeros(g.n)
+    t[np.random.default_rng(4).choice(g.n, 10, replace=False)] = 1.0
+    pi = solve(g)
+
+    def biased(*args):
+        raise AssertionError("a bias phase that takes no link copied the graph")
+
+    monkeypatch.setattr(modify, "_biased", biased)
+    merged, budget = combine(g, t, pi, b=3.0, alpha=0.0, rng=np.random.default_rng(5))
+    pure = insert_links(g, t, pi, budget.inserted_count).adjacency
+    assert budget.biased_weight == 0.0 and budget.inserted_count > 0
+    for name in ("indptr", "indices", "data"):
+        assert getattr(merged.adjacency, name).tobytes() == getattr(pure, name).tobytes()
 
 
 def test_combine_alpha_zero_skips_links_cheaper_than_the_slack():

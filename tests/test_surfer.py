@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.sparse import coo_array, csc_array, csr_array
+from scipy.sparse import coo_array, csc_array, csr_array, issparse
 
 from navsteer import (
     ConvergenceError,
@@ -20,6 +20,7 @@ from navsteer import (
 )
 
 from navsteer import surfer
+from navsteer.graph import column_of_entries
 from navsteer.modify import combine, insert_links
 from navsteer.surfer import (
     DEFAULT_MAX_ITERATIONS,
@@ -299,6 +300,8 @@ def _csr(rows, cols, data, n=2):
      "shape mismatch"),
     (lambda: TransitionMatrix(2, _csr([0, 1], [1, 0], [0.5, 1.0])),
      "columns must sum to 1"),
+    pytest.param(lambda: TransitionMatrix(2, _csr([0, 1], [0, 0], [0.5, 0.5])),
+                 "columns must sum to 1", id="empty column"),
     (lambda: TransitionMatrix(2, _csr([0, 1, 0], [0, 0, 1], [1.5, -0.5, 1.0])),
      "must lie in [0, 1]"),
     (lambda: StationaryResult(np.array([0.5, 0.4]), 1, 0.0), "must sum to 1"),
@@ -376,7 +379,7 @@ def test_censored_solve_matches_dense_oracle(g):
     except ConvergenceError:
         # a draw may be periodic up to a rare odd cycle; only then may the
         # iterated chain (Q, or P when nothing is censored) outlast the budget
-        q = surfer._censored(surfer._censor(p.entries), p.entries)
+        _, q = surfer._censor(p.entries)
         moduli = np.sort(np.abs(np.linalg.eigvals(q.toarray())))
         if moduli[-2] > 0.999:
             return
@@ -428,8 +431,8 @@ def test_censored_chain_of_fixed_examples(make, kept, period):
     assert chain_period(p.entries) == 1
     out_links = np.diff(p.entries.indptr)
     assert np.flatnonzero(out_links > 1).tolist() == kept
-    plan = surfer._censor(p.entries)
-    q, single = surfer._censored(plan, p.entries), plan.single
+    plan, q = surfer._censor(p.entries)
+    single = plan.single
     if period > 1:
         assert q is p.entries
         assert not single.any()
@@ -440,8 +443,8 @@ def test_censored_chain_of_fixed_examples(make, kept, period):
 
 def test_nothing_is_left_to_censor_on_a_cycle():
     p = transition_matrix(_pure_cycle_graph())
-    plan = surfer._censor(p.entries)
-    q, single = surfer._censored(plan, p.entries), plan.single
+    plan, q = surfer._censor(p.entries)
+    single = plan.single
     assert q is p.entries
     assert single.shape == (p.n,) and not single.any()
 
@@ -619,7 +622,7 @@ def _assert_plans_match_the_old_solve(g, seed, budget):
     assert (_outcome(stationary, p, max_iterations=budget)
             == _outcome(_old_stationary, p, max_iterations=budget))
     # the plan the baseline solve builds, without iterating to convergence
-    plan = surfer._censor(p.entries) if chain_period(p.entries) == 1 else None
+    plan = surfer._censor(p.entries)[0] if chain_period(p.entries) == 1 else None
     q = transition_matrix(_reweighted(g, seed))
     assert (_outcome(stationary, q, max_iterations=budget, plan=plan)
             == _outcome(_old_stationary, q, max_iterations=budget))
@@ -655,14 +658,19 @@ def test_planned_solve_matches_the_old_solve_on_fixed_examples(make, budget):
 
 
 def test_duplicate_links_sum_in_p_order():
-    p = transition_matrix(_merged_links_graph())
-    plan = surfer._censor(p.entries)
-    q = surfer._censored(plan, p.entries)
-    # P's links summed into each Q entry (numbered column by column), in
-    # the plan's order
-    summed = [[e] for e in plan.q_first.tolist()]
-    for k, e in zip(plan.q_tail.tolist(), plan.p_tail.tolist()):
-        summed[k].append(e)
+    chain = transition_matrix(_merged_links_graph())
+    p = chain.entries
+    plan, q = surfer._censor(p)
+    # P's kept links summed into each Q entry, numbered column by column:
+    # the link from source c to page i lands on (to_s[i], position of c)
+    kept = ~plan.single
+    sources = column_of_entries(p)
+    summed = {}
+    for e in np.flatnonzero(kept[sources]).tolist():
+        entry = (np.count_nonzero(kept[:sources[e]]), plan.to_s[p.indices[e]])
+        summed.setdefault(entry, []).append(e)
+    assert sorted(summed) == list(zip(column_of_entries(q).tolist(), q.indices.tolist()))
+    summed = [summed[entry] for entry in sorted(summed)]
     # 4 links merge into each entry of a row of 48 links, where
     # csr_sort_indices runs an introsort that leaves ties out of P's order
     assert max(len(links) for links in summed) >= 3
@@ -670,35 +678,35 @@ def test_duplicate_links_sum_in_p_order():
     # scipy's own sum of the same links, given in P's row-major order,
     # moves bytes, so this graph tells the two orders apart
     entry_of = {e: k for k, links in enumerate(summed) for e in links}
-    p_cols = np.repeat(np.arange(p.n), np.diff(p.entries.indptr))
-    in_order = sorted(entry_of, key=lambda e: (p.entries.indices[e], p_cols[e]))
-    q_cols = np.repeat(np.arange(q.shape[1]), np.diff(q.indptr))
-    by_scipy = csr_array((p.entries.data[in_order],
+    in_order = sorted(entry_of, key=lambda e: (p.indices[e], sources[e]))
+    q_cols = column_of_entries(q)
+    by_scipy = csr_array((p.data[in_order],
                           ([q.indices[entry_of[e]] for e in in_order],
                            [q_cols[entry_of[e]] for e in in_order])), shape=q.shape)
     assert by_scipy.data.tobytes() != csr_array(q).data.tobytes()
-    # each entry sums its links from left to right in P's order
-    assert all(links == sorted(links) for links in summed)
-    in_p_order = [sum(p.entries.data[links[1:]], p.entries.data[links[0]])
-                  for links in summed]
+    # each entry sums its links from left to right in P's order, which
+    # summing them from right to left would not give
+    in_p_order = [sum(p.data[links[1:]], p.data[links[0]]) for links in summed]
+    reversed_order = [sum(p.data[links[-2::-1]], p.data[links[-1]]) for links in summed]
     assert np.array(in_p_order).tobytes() == q.data.tobytes()
-    assert _outcome(stationary, p) == _outcome(_old_stationary, p)
+    assert np.array(reversed_order).tobytes() != q.data.tobytes()
+    assert _outcome(stationary, chain) == _outcome(_old_stationary, chain)
 
 
 def _owned_arrays(plan):
     """The index arrays a plan holds besides P's ``indptr`` and ``indices``."""
-    q = (plan.q_indptr, plan.q_indices, plan.q_first, plan.q_tail, plan.p_tail)
-    return [a for a in q if a is not None] + [a for level in plan.levels for a in level]
+    to_s = [] if plan.to_s is None else [plan.to_s]
+    return to_s + [a for level in plan.levels for a in level]
 
 
 def _assert_csc_q_is_the_old_q(g, seed):
     p = transition_matrix(g)
-    plan = surfer._censor(p.entries)
+    plan, _ = surfer._censor(p.entries)
     assert all(a.dtype == p.entries.indices.dtype for a in _owned_arrays(plan))
     # Q from the baseline's weights, and from new weights on the same links
     for chain in (p, transition_matrix(_reweighted(g, seed))):
         q, (old_q, _) = surfer._censored(plan, chain.entries), _old_censor(chain.entries)
-        if plan.q_first is None:
+        if plan.to_s is None:
             assert q is chain.entries and old_q is chain.entries
             continue
         assert isinstance(q, csc_array) and q.has_canonical_format
@@ -723,8 +731,8 @@ def test_censored_chain_is_the_old_q_in_csc_form_on_fixed_examples(make):
 
 def test_plan_arrays_do_not_grow():
     # the baseline's plan is held for a whole sweep
-    plan = surfer._censor(transition_matrix(scale_free_graph(50_000, seed=1)).entries)
-    assert plan.single.nbytes + sum(a.nbytes for a in _owned_arrays(plan)) <= 1_032_588
+    plan, _ = surfer._censor(transition_matrix(scale_free_graph(50_000, seed=1)).entries)
+    assert plan.single.nbytes + sum(a.nbytes for a in _owned_arrays(plan)) <= 621_072
 
 
 def _synth_run(seed=2):
@@ -769,12 +777,12 @@ def test_a_diagonal_entry_answers_the_period_before_the_search(monkeypatch):
     def search(*args, **kwargs):
         raise AssertionError("the breadth-first search ran")
 
-    p = transition_matrix(_deep_chain_graph()).entries
-    q = surfer._censored(surfer._censor(p), p)  # page 0 gains a self-loop
-    monkeypatch.setattr(surfer, "breadth_first_order", search)
     # the 3-cycle 0 -> 1 -> 2 -> 0 with a self-loop on page 1
     assert chain_period(_csr([1, 2, 0, 1], [0, 1, 2, 1], np.ones(4), n=3)) == 1
-    assert chain_period(q) == 1
+    monkeypatch.setattr(surfer, "breadth_first_order", search)
+    plan, q = surfer._censor(transition_matrix(_deep_chain_graph()).entries)
+    # page 0 gains a self-loop, so Q is aperiodic without a search
+    assert plan.to_s is not None and q.diagonal()[0] > 0
 
 
 # ----------------------------------------------------- the power loop's product
@@ -806,7 +814,7 @@ def _csc_power_iteration(matrix, v, tolerance, steps, history):
 @pytest.mark.parametrize("make", [_merged_links_graph, _synth_chain, _insertion_chain])
 def test_the_entry_order_product_is_the_csc_product(make):
     p = transition_matrix(make()).entries
-    q = surfer._censored(surfer._censor(p), p)
+    _, q = surfer._censor(p)
     assert isinstance(q, csc_array) and q.shape[0] < p.shape[0]
     v = np.random.default_rng(0).random(q.shape[0])
     assert (q.tocoo(copy=False) @ v).tobytes() == (q @ v).tobytes()
@@ -819,16 +827,35 @@ def test_the_entry_order_product_is_the_csc_product(make):
     assert runs[0] == runs[1] and runs[0][1]
 
 
-def test_an_aperiodic_solve_multiplies_by_a_csc_matrix_once(monkeypatch):
-    p = transition_matrix(scale_free_graph(300, seed=2))
+def _csc_products(monkeypatch):
+    """``(shape, operand is sparse)`` of every CSC product from now on."""
     products, matmul = [], csc_array.__matmul__
 
     def counted(self, other):
-        products.append(self.shape)
+        products.append((self.shape, issparse(other)))
         return matmul(self, other)
 
     monkeypatch.setattr(csc_array, "__matmul__", counted)
+    return products
+
+
+def test_an_aperiodic_solve_multiplies_by_a_csc_matrix_once(monkeypatch):
+    p = transition_matrix(scale_free_graph(300, seed=2))
+    products = _csc_products(monkeypatch)
     res = stationary(p)
     assert res.plan.levels and res.iterations > 1
     # only the certificate's product ||P pi - pi|| is left
-    assert products == [p.entries.shape]
+    assert [shape for shape, sparse in products if not sparse] == [p.entries.shape]
+
+
+def test_q_is_multiplied_out_once_per_solve(monkeypatch):
+    g = scale_free_graph(300, seed=2)
+    products = _csc_products(monkeypatch)
+    fresh = stationary(transition_matrix(g))
+    assert fresh.plan.to_s is not None
+    m = np.count_nonzero(~fresh.plan.single)
+    assert [shape for shape, sparse in products if sparse] == [(m, g.n)]
+    products.clear()
+    reused = stationary(transition_matrix(_reweighted(g, 3)), plan=fresh.plan)
+    assert reused.plan is fresh.plan
+    assert [shape for shape, sparse in products if sparse] == [(m, g.n)]
