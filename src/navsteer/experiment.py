@@ -289,9 +289,9 @@ def sweep(g: WeightedDigraph, config: SweepConfig, workers: int = 1) -> SweepRes
 
     Output is identical for any ``workers`` value: substream seeds depend
     only on run keys and results are gathered in enumeration order. No more
-    processes start than there are runs or CPUs. A pool takes the runs one
-    at a time in reverse enumeration order, which puts the costliest (link
-    insertion, and the largest phi) first.
+    processes start than there are runs or CPUs this process may use. A
+    pool takes the runs one at a time in reverse enumeration order, which
+    puts the costliest (link insertion, and the largest phi) first.
     """
     if workers < 1:
         raise ValidationError("workers must be at least 1")
@@ -300,7 +300,8 @@ def sweep(g: WeightedDigraph, config: SweepConfig, workers: int = 1) -> SweepRes
     tasks = _enumerate_tasks(g, config)
     context = _SweepContext(g, baseline, config)
     # a fork-based pool starts all its workers at the first submit
-    workers = min(workers, len(tasks), os.cpu_count() or 1)
+    workers = min(workers, len(tasks), len(os.sched_getaffinity(0))
+                  if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
     if workers == 1:
         outcomes = map(context.run, tasks)
     else:

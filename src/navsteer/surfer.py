@@ -136,21 +136,20 @@ def _power_iteration(matrix, v, tolerance, steps, history):
     """Up to ``steps`` power steps from ``v``, appending each L1 step norm
     to ``history``; returns the last iterate and whether it converged.
 
-    The iterate is renormalized every step to suppress floating-point drift.
-    The product runs over the CSC entries in storage order, as COO: each
-    page sums the same terms in the same order from 0.0, as in the CSC
-    product, but in one flat loop instead of one loop per short column.
+    A column-stochastic matrix keeps the iterate's sum up to rounding, so
+    it is normalised once, on return. The product runs over the CSC
+    entries in storage order, as COO: each page sums the same terms in the
+    same order from 0.0 as the CSC product, in one flat loop, not per column.
     """
     matrix, step = matrix.tocoo(copy=False), np.empty_like(v)
     for _ in range(steps):
         v_next = matrix @ v
-        v_next /= v_next.sum()
         np.subtract(v_next, v, out=step)
         history.append(float(np.abs(step, out=step).sum()))
         v = v_next
         if history[-1] < tolerance:
-            return v, True
-    return v, False
+            break
+    return v / v.sum(), history[-1] < tolerance
 
 
 @dataclass(frozen=True, eq=False)
@@ -241,7 +240,7 @@ def _censored(plan: SolvePlan, matrix):
     Column i of R holds a single 1 in row ``to_s[i]``. The product walks
     each kept column of P in storage order and adds every link into its Q
     entry from 0.0, so the links merged into one entry sum left to right
-    in P's order.
+    in P's order. Q keeps the product's row order, which no reader needs.
     """
     if plan.to_s is None:
         return matrix
@@ -249,7 +248,7 @@ def _censored(plan: SolvePlan, matrix):
     n, m = kept.shape
     r = csc_array((np.ones(n), plan.to_s, np.arange(n + 1, dtype=plan.to_s.dtype)),
                   shape=(m, n))
-    return canonical_csc(r @ kept)
+    return r @ kept
 
 
 def _recover(plan: SolvePlan, matrix, y):

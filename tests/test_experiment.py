@@ -310,6 +310,7 @@ def test_sweep_starts_no_more_workers_than_runs_or_cpus(
     import os
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InlinePool)
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
     monkeypatch.setattr(_InlinePool, "started", [])
     config = bias_config(samples_per_phi=3)          # 3 runs
@@ -319,6 +320,19 @@ def test_sweep_starts_no_more_workers_than_runs_or_cpus(
     write_records_csv(sweep(t4, config).records, a)
     write_records_csv(result.records, b)
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_sweep_starts_no_pool_on_one_allowed_cpu_of_many(monkeypatch, t4):
+    import concurrent.futures
+    import os
+
+    # a process pinned to one CPU of a 64-CPU host, as under `taskset -c 0`
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InlinePool)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(_InlinePool, "started", [])
+    result = sweep(t4, bias_config(samples_per_phi=3), workers=2)
+    assert _InlinePool.started == [] and len(result.records) == 3
 
 
 class _RecordingPool(_InlinePool):
@@ -346,6 +360,7 @@ def test_pool_takes_the_runs_in_reverse_order_one_at_a_time(t4, monkeypatch):
     import os
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     monkeypatch.setattr(_RecordingPool, "mapped", [])
     config = bias_config(strategies=(Strategy.CLICK_BIAS, Strategy.LINK_INSERTION),

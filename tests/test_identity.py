@@ -1,6 +1,6 @@
 """The identity tool on a tiny site and a tiny solve set (the 300-page
 graph and the merged-links graph): a tree against itself, and edited
-hashes."""
+hashes and step counts."""
 
 import hashlib
 import json
@@ -43,10 +43,21 @@ def test_identity_set_names_only_what_differs(tmp_path):
     assert done.returncode == 1
     assert done.stdout.splitlines()[0] == "differs: file site.pi.csv"
     assert "1 of" in done.stdout
-    edited["outputs"]["solve synth-300 bias budget 2"] = "0" * 64
+    edited["outputs"]["solve synth-300 bias budget 2"][0] = "0" * 64
     b.write_text(json.dumps(edited))
     done = identity("--compare", str(a), str(b))
     assert done.returncode == 1
     assert done.stdout.splitlines()[:2] == ["differs: file site.pi.csv",
                                             "differs: solve synth-300 bias budget 2"]
     assert "1 of 70 solves differ" in done.stdout
+    assert "0 of 1 differing solves changed their kind or step count" in done.stdout
+    # a bias run at budget 2 ran out of steps; one step more is an outcome change
+    assert outputs["solve synth-300 bias budget 2"][1:] == ["ConvergenceError", 2]
+    edited["outputs"]["solve synth-300 bias budget 2"][2] = 3
+    b.write_text(json.dumps(edited))
+    done = identity("--compare", str(a), str(b))
+    assert done.returncode == 1
+    assert done.stdout.splitlines()[-2:] == [
+        "1 of 1 differing solves changed their kind or step count",
+        "outcome changed: solve synth-300 bias budget 2: "
+        "ConvergenceError 2 -> ConvergenceError 3"]

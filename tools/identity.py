@@ -11,6 +11,9 @@ Name each output that differs between two saved sets; exit 1 if any does:
 
     python3 tools/identity.py --compare parent.json child.json
 
+A compare also names each solve whose outcome kind or step count changed,
+which tells a last-bit move from a changed outcome.
+
 Each set runs in a fresh process, the commands in a fresh temporary
 directory with relative paths, with ``PYTHONPATH`` set to ``--src`` only,
 so two source trees (a parent and a child checkout) can be compared
@@ -23,7 +26,9 @@ chains: the baseline without a plan, then the click-bias, insertion and
 combined (alpha 0.5 and 1) modifications with the baseline's plan, as a
 sweep run does. Each chain is solved at the default budget and at each
 of ``SOLVE_BUDGETS``; a solve hashes its pi (or last iterate), its
-iteration count (or residual history), its residual and its message.
+iteration count (or residual history), its residual and its message,
+and saves its outcome kind (``ok`` or the error's name) and step count
+(the iterations, or the residual history's length) beside the hash.
 """
 
 from __future__ import annotations
@@ -125,9 +130,9 @@ def _merged_links_graph(k=12, per=3):
                                       rng.uniform(0.1, 5.0, size=len(src)))
 
 
-def solve_hashes(pages: list[int]) -> dict[str, str]:
-    """Hash of every solve of the solve set, run against the navsteer
-    package on ``sys.path``."""
+def solve_hashes(pages: list[int]) -> dict[str, list]:
+    """``[hash, outcome kind, step count]`` of every solve of the solve
+    set, run against the navsteer package on ``sys.path``."""
     from navsteer import (ConvergenceError, ModificationSpec, Strategy,
                           apply_modification, sample_target_sets, stationary,
                           target_vector, transition_matrix)
@@ -158,11 +163,12 @@ def solve_hashes(pages: list[int]) -> dict[str, str]:
                     outcome = [type(e).__name__, str(e), e.last_iterate.tobytes(),
                                e.residual_history]
                 name = f"solve {graph_name} {chain_name} budget {budget or 'full'}"
-                hashes[name] = _sha256(repr(outcome).encode())
+                steps = outcome[2] if outcome[0] == "ok" else len(outcome[3])
+                hashes[name] = [_sha256(repr(outcome).encode()), outcome[0], steps]
     return hashes
 
 
-def run_solves(src: Path, pages: list[int]) -> dict[str, str]:
+def run_solves(src: Path, pages: list[int]) -> dict[str, list]:
     """:func:`solve_hashes` run against ``src`` in a fresh process."""
     done = subprocess.run(
         [sys.executable, str(Path(__file__).resolve()), "--hash-solves",
@@ -180,6 +186,18 @@ def differing(a: dict, b: dict) -> list[str]:
     outputs_a, outputs_b = a["outputs"], b["outputs"]
     return names + [name for name in sorted(outputs_a.keys() | outputs_b.keys())
                     if outputs_a.get(name) != outputs_b.get(name)]
+
+
+def outcome_changes(a: dict, b: dict) -> list[str]:
+    """``name: kind steps -> kind steps`` of each solve whose outcome kind
+    or step count differs between two saved sets."""
+    changes = []
+    for name in sorted(a["outputs"].keys() & b["outputs"].keys()):
+        before, after = a["outputs"][name][1:], b["outputs"][name][1:]
+        if name.startswith("solve ") and before != after:
+            changes.append(f"{name}: {' '.join(map(str, before))} -> "
+                           f"{' '.join(map(str, after))}")
+    return changes
 
 
 def main(argv=None) -> int:
@@ -210,6 +228,11 @@ def main(argv=None) -> int:
         differ = sum(name.startswith("solve ") for name in names)
         print(f"{len(names) - differ} of {len(outputs) - solves} outputs differ")
         print(f"{differ} of {solves} solves differ")
+        changes = outcome_changes(a, b)
+        print(f"{len(changes)} of {differ} differing solves changed their kind "
+              "or step count")
+        for change in changes:
+            print(f"outcome changed: {change}")
         return 1 if names else 0
     if args.src is None or args.save is None:
         ap.error("give --src and --save, or --compare A B")
