@@ -12,7 +12,7 @@ import csv
 import logging
 import secrets
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 from . import __version__
@@ -152,14 +152,14 @@ def _resolve_targets(args, g: WeightedDigraph, seed: int) -> TargetSet:
 
 
 def cmd_modify(args) -> int:
-    g, _, provenance = _prepare_graph(args.input, args.strict)
     seed = args.seed if args.seed is not None else secrets.randbits(63)
     strategy = Strategy(args.strategy)
-    ts = _resolve_targets(args, g, seed)
     spec = ModificationSpec(strategy=strategy, bias_strength=args.bias_strength,
                             alpha=args.alpha, seed=derive_seed(seed, COMBINE_STREAM)
                             if strategy is Strategy.COMBINED else None)
     check_solver_settings(args.tolerance, args.max_iterations)
+    g, _, provenance = _prepare_graph(args.input, args.strict)
+    ts = _resolve_targets(args, g, seed)
 
     outdir = Path(args.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -248,19 +248,20 @@ def _build_sweep_config(args, stem: str) -> SweepConfig:
     flags = vars(args)
     values.update((key, flags[key]) for key in _CONFIG_KEYS
                   if flags.get(key) is not None)
+    config = SweepConfig(**values)  # validated before a seed is generated
     if "master_seed" not in values:
-        values["master_seed"] = secrets.randbits(63)
+        config = replace(config, master_seed=secrets.randbits(63))
         logger.warning("no master seed given; generated %d (echoed in config "
-                       "sidecar)", values["master_seed"])
-    return SweepConfig(**values)
+                       "sidecar)", config.master_seed)
+    return config
 
 
 def cmd_sweep(args) -> int:
     if args.workers < 1:  # before the output directory is made
         raise ValidationError("workers must be at least 1")
-    g, _, provenance = _prepare_graph(args.input, args.strict)
     stem = Path(args.input).stem
     config = _build_sweep_config(args, stem)
+    g, _, provenance = _prepare_graph(args.input, args.strict)
     outdir = Path(args.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     result = sweep(g, config, workers=args.workers)

@@ -161,8 +161,8 @@ class SolvePlan:
 
     - P's ``indptr`` and ``indices`` (CSC), the links it was built for;
     - ``single``, the mask of the pages censored out;
-    - ``to_s``, the row map R of Q = R P[:, S]: page i's mass lands on
-      the page at position ``to_s[i]`` of the kept pages S;
+    - ``to_s``, where each page's mass lands in Q: page i's on the page
+      at position ``to_s[i]`` of the kept pages S;
     - ``levels``, the censored pages by their number of links to the first
       page of S, farthest first, so each level needs only pages already
       recovered; a level is ``(entries, sources)``: P's entries that link
@@ -214,7 +214,7 @@ def _censor(matrix):
         plan = SolvePlan(matrix.indptr, matrix.indices, single, to_s,
                          _levels(matrix, single, depth))
         q = _censored(plan, matrix)
-        # a diagonal entry is a cycle of length 1; merging links keeps the period
+        # a diagonal entry is a cycle of length 1
         if np.any(q.indices == column_of_entries(q)) or chain_period(q) == 1:
             return plan, q
     return SolvePlan(matrix.indptr, matrix.indices, np.zeros(n, dtype=bool)), matrix
@@ -234,21 +234,18 @@ def _levels(matrix, single, depth):
 
 
 def _censored(plan: SolvePlan, matrix):
-    """The chain to iterate: Q = R P[:, S] with ``matrix``'s weights, or
-    ``matrix`` itself when the plan censors nothing.
+    """The chain to iterate: Q with ``matrix``'s weights, or ``matrix``
+    itself when the plan censors nothing.
 
-    Column i of R holds a single 1 in row ``to_s[i]``. The product walks
-    each kept column of P in storage order and adds every link into its Q
-    entry from 0.0, so the links merged into one entry sum left to right
-    in P's order. Q keeps the product's row order, which no reader needs.
+    Q is P's kept columns with each link's row renamed through ``to_s``.
+    Every link stays its own entry, in P's order: a column may hold a row
+    more than once, and the power step adds each of those links in turn.
     """
     if plan.to_s is None:
         return matrix
     kept = matrix[:, ~plan.single]
-    n, m = kept.shape
-    r = csc_array((np.ones(n), plan.to_s, np.arange(n + 1, dtype=plan.to_s.dtype)),
-                  shape=(m, n))
-    return r @ kept
+    m = kept.shape[1]
+    return csc_array((kept.data, plan.to_s[kept.indices], kept.indptr), shape=(m, m))
 
 
 def _recover(plan: SolvePlan, matrix, y):

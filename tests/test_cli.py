@@ -430,6 +430,30 @@ def test_bad_solver_settings_in_a_config_file_exit_before_any_output(
     assert not outdir.exists()
 
 
+def test_a_bad_sweep_config_generates_no_seed(tmp_path, t4_file, capsys, caplog):
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text("tolerance = nan\n")
+    assert main(["sweep", str(t4_file), "--config", str(cfg),
+                 "--output-dir", str(tmp_path / "out")]) == 2
+    assert "tolerance must be finite and positive" in capsys.readouterr().err
+    assert "generated" not in caplog.text
+
+
+@pytest.mark.parametrize("command, message", [
+    (["sweep", "--config", "{cfg}"], "tolerance must be finite and positive"),
+    (["modify", "--strategy", "bias", "--bias-strength", "0.5", "--phi", "0.25"],
+     "bias strength must be finite and >= 1, got 0.5"),
+])
+def test_bad_settings_are_named_before_the_input_is_read(tmp_path, capsys, command,
+                                                         message):
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text("tolerance = nan\n")
+    argv = [command[0], str(tmp_path / "missing.tsv"),
+            *(a.format(cfg=cfg) for a in command[1:])]
+    assert main(argv) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_sweep_bytes_do_not_follow_the_blas_thread_count(tmp_path):
     # OpenBLAS splits a dot product of more than 10 000 terms over its
     # threads, which moved the last bits of pi_t, pi_t_prime and tau

@@ -27,15 +27,16 @@ def test_identity_set_names_only_what_differs(tmp_path):
     exits = [h for name, h in outputs.items() if name.endswith(": exit")]
     assert exits == [hashlib.sha256(b"0").hexdigest()] * 11
     assert "file sweep-csv-w2/site.runs.csv" in outputs
-    # 2 graphs x 5 chains x 7 budgets
+    # 2 graphs x 6 chains x 7 budgets
     solves = [name for name in outputs if name.startswith("solve ")]
-    assert len(solves) == 70
+    assert len(solves) == 84
     assert "solve merged-links insert budget 3" in solves
+    assert "solve synth-300 insert-b15 budget full" in solves
     assert "solve synth-300 combined-a1 budget full" in solves
     done = identity("--compare", str(a), str(b))
     assert done.returncode == 0, done.stdout
     assert "differs" not in done.stdout
-    assert "0 of 70 solves differ" in done.stdout
+    assert "0 of 84 solves differ" in done.stdout
     edited = json.loads(b.read_text())
     edited["outputs"]["file site.pi.csv"] = "0" * 64
     b.write_text(json.dumps(edited))
@@ -49,7 +50,7 @@ def test_identity_set_names_only_what_differs(tmp_path):
     assert done.returncode == 1
     assert done.stdout.splitlines()[:2] == ["differs: file site.pi.csv",
                                             "differs: solve synth-300 bias budget 2"]
-    assert "1 of 70 solves differ" in done.stdout
+    assert "1 of 84 solves differ" in done.stdout
     assert "0 of 1 differing solves changed their kind or step count" in done.stdout
     # a bias run at budget 2 ran out of steps; one step more is an outcome change
     assert outputs["solve synth-300 bias budget 2"][1:] == ["ConvergenceError", 2]

@@ -1,6 +1,7 @@
 """Transition matrix construction, power iteration, concentration curve."""
 
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -487,8 +488,8 @@ def test_certificate_rejects_a_wrong_vector(t4, monkeypatch):
 
 # ------------------------------------------ solve plans against the old solve
 #
-# The solve as it stood before solve plans, kept as the oracle: Q's
-# merged links summed one by one in P's order, recovery by repeated sweeps
+# The solve as it stood before solve plans, kept as the oracle: each of
+# Q's links stored on its own, in P's order, recovery by repeated sweeps
 # until nothing changes.
 
 def _old_censor(given):
@@ -526,16 +527,13 @@ def _old_censor(given):
     rows = np.repeat(position[jump], np.diff(matrix.indptr))[links]
     cols = position[matrix.indices[links]]
     m = np.count_nonzero(kept)
-    # links that land on one (row, col) sum from left to right in P's order
-    sums = {}
-    for r, c, w in zip(rows.tolist(), cols.tolist(), matrix.data[links].tolist()):
-        sums[r, c] = sums[r, c] + w if (r, c) in sums else w
-    keys = sorted(sums)
+    # links by (row, col); links that land on one (row, col) stay apart,
+    # in P's order, since the sort is stable
+    order = np.lexsort((cols, rows))
     itype = matrix.indices.dtype
     indptr = np.zeros(m + 1, dtype=itype)
-    np.cumsum(np.bincount([r for r, _ in keys], minlength=m), out=indptr[1:])
-    q = csr_array((np.array([sums[k] for k in keys]),
-                   np.array([c for _, c in keys], dtype=itype), indptr), shape=(m, m))
+    np.cumsum(np.bincount(rows, minlength=m), out=indptr[1:])
+    q = csr_array((matrix.data[links][order], cols[order], indptr), shape=(m, m))
     if chain_period(q) > 1:
         return given, np.zeros(n, dtype=bool)
     return q, single
@@ -663,40 +661,20 @@ def test_planned_solve_matches_the_old_solve_on_fixed_examples(make, budget):
     _assert_plans_match_the_old_solve(make(), 5, budget)
 
 
-def test_duplicate_links_sum_in_p_order():
+def test_q_holds_each_kept_link_in_p_order():
     chain = transition_matrix(_merged_links_graph())
     p = chain.entries
     plan, q = surfer._censor(p)
-    q = q.sorted_indices()  # each column's rows in order
-    # P's kept links summed into each Q entry, numbered column by column:
-    # the link from source c to page i lands on (to_s[i], position of c)
-    kept = ~plan.single
-    sources = column_of_entries(p)
-    summed = {}
-    for e in np.flatnonzero(kept[sources]).tolist():
-        entry = (np.count_nonzero(kept[:sources[e]]), plan.to_s[p.indices[e]])
-        summed.setdefault(entry, []).append(e)
-    assert sorted(summed) == list(zip(column_of_entries(q).tolist(), q.indices.tolist()))
-    summed = [summed[entry] for entry in sorted(summed)]
-    # 4 links merge into each entry of a row of 48 links, where
-    # csr_sort_indices runs an introsort that leaves ties out of P's order
-    assert max(len(links) for links in summed) >= 3
-    assert max(np.bincount(q.indices, [len(links) for links in summed])) > 16
-    # scipy's own sum of the same links, given in P's row-major order,
-    # moves bytes, so this graph tells the two orders apart
-    entry_of = {e: k for k, links in enumerate(summed) for e in links}
-    in_order = sorted(entry_of, key=lambda e: (p.indices[e], sources[e]))
-    q_cols = column_of_entries(q)
-    by_scipy = csr_array((p.data[in_order],
-                          ([q.indices[entry_of[e]] for e in in_order],
-                           [q_cols[entry_of[e]] for e in in_order])), shape=q.shape)
-    assert by_scipy.data.tobytes() != csr_array(q).data.tobytes()
-    # each entry sums its links from left to right in P's order, which
-    # summing them from right to left would not give
-    in_p_order = [sum(p.data[links[1:]], p.data[links[0]]) for links in summed]
-    reversed_order = [sum(p.data[links[-2::-1]], p.data[links[-1]]) for links in summed]
-    assert np.array(in_p_order).tobytes() == q.data.tobytes()
-    assert np.array(reversed_order).tobytes() != q.data.tobytes()
+    # column by column, Q's entries are the kept page's links in P's order,
+    # each moved to the row of its target's jump, with P's weight
+    for col, page in enumerate(np.flatnonzero(~plan.single)):
+        links = slice(p.indptr[page], p.indptr[page + 1])
+        entries = slice(q.indptr[col], q.indptr[col + 1])
+        assert q.indices[entries].tolist() == plan.to_s[p.indices[links]].tolist()
+        assert q.data[entries].tobytes() == p.data[links].tobytes()
+    # 4 links land on each entry of a row of 48 links
+    assert max(Counter(zip(column_of_entries(q).tolist(), q.indices.tolist())).values()) == 4
+    assert np.bincount(q.indices).max() == 48
     assert _outcome(stationary, chain) == _outcome(_old_stationary, chain)
 
 
@@ -717,7 +695,6 @@ def _assert_csc_q_is_the_old_q(g, seed):
             assert q is chain.entries and old_q is chain.entries
             continue
         assert isinstance(q, csc_array)
-        assert len(set(zip(column_of_entries(q).tolist(), q.indices.tolist()))) == q.nnz
         q_rows = q.tocsr()
         assert q_rows.indptr.tobytes() == old_q.indptr.tobytes()
         assert q_rows.indices.tobytes() == old_q.indices.tobytes()
@@ -747,13 +724,15 @@ def test_censored_chain_is_the_old_q_in_csc_form_on_fixed_examples(make):
 @example(_merged_links_graph(), 5)
 @example(_period_three_graph(), 5)
 @example(_period_two_graph(), 5)
-def test_censored_chain_is_stochastic_with_no_entry_twice(g, seed):
+def test_censored_chain_is_stochastic_with_an_entry_per_kept_link(g, seed):
     # what the power loop relies on in Q, as built and as rebuilt from new
-    # weights: every column sums to 1, and no (column, row) entry repeats
-    plan, q = surfer._censor(transition_matrix(g).entries)
+    # weights: every column sums to 1, and each link out of a kept page is
+    # an entry of its own
+    p = transition_matrix(g).entries
+    plan, q = surfer._censor(p)
+    kept_links = np.count_nonzero(~plan.single[column_of_entries(p)])
     for chain in (q, surfer._censored(plan, transition_matrix(_reweighted(g, seed)).entries)):
-        entries = set(zip(column_of_entries(chain).tolist(), chain.indices.tolist()))
-        assert len(entries) == chain.nnz
+        assert chain.nnz == kept_links
         assert np.max(np.abs(chain.sum(axis=0) - 1.0)) <= 1e-12
 
 
@@ -875,14 +854,17 @@ def test_an_aperiodic_solve_multiplies_by_a_csc_matrix_once(monkeypatch):
     assert [shape for shape, sparse in products if not sparse] == [p.entries.shape]
 
 
-def test_q_is_multiplied_out_once_per_solve(monkeypatch):
+def test_q_is_built_once_per_solve_with_no_sparse_product(monkeypatch):
     g = scale_free_graph(300, seed=2)
-    products = _csc_products(monkeypatch)
+    products, built, censored = _csc_products(monkeypatch), [], surfer._censored
+
+    def spy(plan, matrix):
+        built.append(plan)
+        return censored(plan, matrix)
+
+    monkeypatch.setattr(surfer, "_censored", spy)
     fresh = stationary(transition_matrix(g))
-    assert fresh.plan.to_s is not None
-    m = np.count_nonzero(~fresh.plan.single)
-    assert [shape for shape, sparse in products if sparse] == [(m, g.n)]
-    products.clear()
+    assert fresh.plan.to_s is not None and built == [fresh.plan]
     reused = stationary(transition_matrix(_reweighted(g, 3)), plan=fresh.plan)
-    assert reused.plan is fresh.plan
-    assert [shape for shape, sparse in products if sparse] == [(m, g.n)]
+    assert reused.plan is fresh.plan and built == [fresh.plan] * 2
+    assert not any(sparse for _, sparse in products)

@@ -21,11 +21,12 @@ output by output.
 
 The solve set calls ``stationary`` directly, since every command solves
 at the default budget only. On each graph (synthetic sites of
-``--solve-pages`` pages and :func:`_merged_links_graph`) it solves five
-chains: the baseline without a plan, then the click-bias, insertion and
-combined (alpha 0.5 and 1) modifications with the baseline's plan, as a
-sweep run does. Each chain is solved at the default budget and at each
-of ``SOLVE_BUDGETS``; a solve hashes its pi (or last iterate), its
+``--solve-pages`` pages and :func:`_merged_links_graph`) it solves six
+chains: the baseline without a plan, then the click-bias, insertion (b 5
+and b 15, the run that adds the most links) and combined (alpha 0.5 and
+1) modifications with the baseline's plan, as a sweep run does. Each
+chain is solved at the default budget and at each of
+``SOLVE_BUDGETS``; a solve hashes its pi (or last iterate), its
 iteration count (or residual history), its residual and its message,
 and saves its outcome kind (``ok`` or the error's name) and step count
 (the iterations, or the residual history's length) beside the hash.
@@ -104,14 +105,14 @@ def run_set(src: Path, nodes: int) -> dict[str, str]:
 
 
 def _merged_links_graph(k=12, per=3):
-    """A chain whose censored links merge in a long row of Q, with unequal
-    weights, so summing them in P's order and in scipy's tie order gives
-    different bytes.
+    """A chain whose censored links land many times on one page of Q,
+    with unequal weights, so the order in which the power step adds them
+    shows in the bytes.
 
     Page 0 links to pages 1..k, and each page j links back to 0 directly,
     on to page j + 1, and through ``per`` single-out-link pages, numbered
-    in shuffled order. Censored, each j sends 1 + per links to 0 that
-    merge into one entry of Q's row 0, which gathers k * (1 + per) links.
+    in shuffled order. Censored, each j sends 1 + per links to 0, each an
+    entry of its own in Q's row 0, which gathers k * (1 + per) links.
     """
     from navsteer import WeightedDigraph
 
@@ -141,6 +142,7 @@ def solve_hashes(pages: list[int]) -> dict[str, list]:
 
     specs = {"bias": ModificationSpec(Strategy.CLICK_BIAS, 5.0),
              "insert": ModificationSpec(Strategy.LINK_INSERTION, 5.0),
+             "insert-b15": ModificationSpec(Strategy.LINK_INSERTION, 15.0),
              "combined-a0.5": ModificationSpec(Strategy.COMBINED, 5.0, 0.5, seed=11),
              "combined-a1": ModificationSpec(Strategy.COMBINED, 5.0, 1.0, seed=11)}
     graphs = {f"synth-{n}": scale_free_graph(n, seed=5) for n in pages}
