@@ -51,7 +51,7 @@ from .surfer import (
     stationary,
     transition_matrix,
 )
-from .targets import TargetSet, sample_target_sets, write_targets_csv
+from .targets import TargetSet, sample_target_sets, target_set_size, write_targets_csv
 from .util import derive_seed, format_value, write_csv, write_json
 
 logger = logging.getLogger(__name__)
@@ -158,6 +158,8 @@ def cmd_modify(args) -> int:
                             alpha=args.alpha, seed=derive_seed(seed, COMBINE_STREAM)
                             if strategy is Strategy.COMBINED else None)
     check_solver_settings(args.tolerance, args.max_iterations)
+    if args.phi is not None:
+        target_set_size(args.phi, 1)  # the sampling's (0, 1] check, before the input
     g, _, provenance = _prepare_graph(args.input, args.strict)
     ts = _resolve_targets(args, g, seed)
 

@@ -220,10 +220,11 @@ def load_edge_list(source: str | Path | IO[str]) -> WeightedDigraph:
         ids.append(np.fromiter(map(index.__getitem__, ends), np.int64, len(ends)))
         weights.append(w)
         del lines, ends  # so the next block is built without this one
-    ids = np.concatenate(ids)
+    ids, labels = np.concatenate(ids), tuple(index)
+    del index  # so the graph is built without the label index
     return WeightedDigraph.from_edges(
-        n=len(index), sources=ids[0::2], destinations=ids[1::2],
-        weights=np.concatenate(weights), node_labels=tuple(index))
+        n=len(labels), sources=ids[0::2], destinations=ids[1::2],
+        weights=np.concatenate(weights), node_labels=labels)
 
 
 def _bulk_columns(lines: list[str]) -> tuple[list[str], np.ndarray] | None:

@@ -163,10 +163,8 @@ class SolvePlan:
     - ``single``, the mask of the pages censored out;
     - ``to_s``, where each page's mass lands in Q: page i's on the page
       at position ``to_s[i]`` of the kept pages S;
-    - ``levels``, the censored pages by their number of links to the first
-      page of S, farthest first, so each level needs only pages already
-      recovered; a level is ``(entries, sources)``: P's entries that link
-      into its pages, page by page, and each link's source, ascending.
+    - ``levels``, the censored pages, one array per number of links to
+      the first page of S, farthest first, each array ascending.
 
     When nothing is censored, ``single`` is all False, Q is P itself and
     ``to_s`` is None.
@@ -176,7 +174,7 @@ class SolvePlan:
     indices: np.ndarray
     single: np.ndarray
     to_s: np.ndarray | None = None
-    levels: tuple[tuple[np.ndarray, ...], ...] = ()
+    levels: tuple[np.ndarray, ...] = ()
 
     def fits(self, matrix) -> bool:
         """Whether ``matrix`` has exactly the links this plan was built for."""
@@ -212,7 +210,7 @@ def _censor(matrix):
     if single.any() and not single[jump].any():
         to_s = (np.cumsum(~single, dtype=itype) - 1)[jump]
         plan = SolvePlan(matrix.indptr, matrix.indices, single, to_s,
-                         _levels(matrix, single, depth))
+                         _levels(single, depth))
         q = _censored(plan, matrix)
         # a diagonal entry is a cycle of length 1
         if np.any(q.indices == column_of_entries(q)) or chain_period(q) == 1:
@@ -220,17 +218,12 @@ def _censor(matrix):
     return SolvePlan(matrix.indptr, matrix.indices, np.zeros(n, dtype=bool)), matrix
 
 
-def _levels(matrix, single, depth):
-    """The censored pages' rows of P, deepest first, as the entries and
-    sources of their in-links, split where the depth changes: a level's
-    pages depend on no other page of their level."""
-    itype = matrix.indices.dtype
-    rows = csc_array((np.arange(matrix.nnz, dtype=itype), matrix.indices,
-                      matrix.indptr), shape=matrix.shape).tocsr()
-    censored = np.flatnonzero(single)[np.argsort(-depth[single])]
-    rows = rows[censored]
-    cuts = rows.indptr[np.flatnonzero(np.diff(depth[censored])) + 1]
-    return tuple(zip(np.split(rows.data, cuts), np.split(rows.indices, cuts)))
+def _levels(single, depth):
+    """The censored pages, one array per depth, deepest first and ascending
+    within a depth, in ``depth``'s index type."""
+    pages = np.flatnonzero(single).astype(depth.dtype)
+    pages = pages[np.argsort(-depth[pages], kind="stable")]
+    return tuple(np.split(pages, np.flatnonzero(np.diff(depth[pages])) + 1))
 
 
 def _censored(plan: SolvePlan, matrix):
@@ -249,13 +242,15 @@ def _censored(plan: SolvePlan, matrix):
 
 
 def _recover(plan: SolvePlan, matrix, y):
-    """Full stationary vector from the censored chain's: level by level, a
-    censored page's mass is its row of P times the pages already known,
-    summed unbuffered from 0.0 in source order, as a CSR row product is."""
+    """Full stationary vector from the censored chain's: one product with
+    P brings each censored page its kept in-links' mass, then level by
+    level, deepest first, each page passes all of it along its one link
+    (weight 1.0); the last level's successors are kept pages."""
     x = np.zeros(matrix.shape[0])
     x[~plan.single] = y
-    for entries, sources in plan.levels:
-        np.add.at(x, matrix.indices[entries], matrix.data[entries] * x[sources])
+    x += plan.single * (matrix @ x)  # the kept pages add 0.0
+    for pages in plan.levels[:-1]:
+        np.add.at(x, matrix.indices[matrix.indptr[pages]], x[pages])
     return x / x.sum()
 
 

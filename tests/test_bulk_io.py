@@ -8,6 +8,7 @@ the CSV writer's is ``csv.writer`` alone (every block rejected by
 three-key ``np.lexsort`` it replaced.
 """
 
+import inspect
 import io
 import math
 import tracemalloc
@@ -309,6 +310,31 @@ def test_loader_memory_stays_within_per_line_path(tmp_path, monkeypatch):
     assert _peak(lambda: load_edge_list(six)) - bulk <= 120 * 3 * util._BLOCK
     monkeypatch.setattr(graph, "_bulk_columns", _per_line_columns())
     assert bulk <= 1.1 * _peak(lambda: load_edge_list(three))
+
+
+def test_no_label_index_is_live_when_the_graph_is_built(tmp_path, monkeypatch):
+    n = 20_000  # distinct labels, on one cycle
+    path = tmp_path / "cycle.tsv"
+    path.write_text("".join(f"n{i}\tn{(i + 1) % n}\n" for i in range(n)),
+                    encoding="utf-8")
+    source, start = inspect.getsourcelines(graph.load_edge_list)
+    line = start + next(i for i, text in enumerate(source) if "index.update(" in text)
+    held, from_edges = [], WeightedDigraph.from_edges
+
+    def spy(**kwargs):
+        # what the label index allocated and still holds
+        snapshot = tracemalloc.take_snapshot().filter_traces(
+            [tracemalloc.Filter(True, graph.__file__, line)])
+        held.append(sum(stat.size for stat in snapshot.statistics("lineno")))
+        return from_edges(**kwargs)
+
+    monkeypatch.setattr(WeightedDigraph, "from_edges", spy)
+    tracemalloc.start()
+    try:
+        assert load_edge_list(path).n == n
+    finally:
+        tracemalloc.stop()
+    assert held == [0]
 
 
 def test_loader_holds_one_block_of_lines_at_a_time(tmp_path):

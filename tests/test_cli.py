@@ -443,6 +443,8 @@ def test_a_bad_sweep_config_generates_no_seed(tmp_path, t4_file, capsys, caplog)
     (["sweep", "--config", "{cfg}"], "tolerance must be finite and positive"),
     (["modify", "--strategy", "bias", "--bias-strength", "0.5", "--phi", "0.25"],
      "bias strength must be finite and >= 1, got 0.5"),
+    (["modify", "--strategy", "bias", "--bias-strength", "2", "--phi", "1.5"],
+     "phi must lie in (0, 1], got 1.5"),
 ])
 def test_bad_settings_are_named_before_the_input_is_read(tmp_path, capsys, command,
                                                          message):

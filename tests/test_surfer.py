@@ -540,20 +540,24 @@ def _old_censor(given):
 
 
 def _old_recover(matrix, single, y):
-    """Full stationary vector from the censored chain's: the censored
-    pages' mass is P x on them, repeated until it stops changing. P
-    restricted to those pages is nilpotent, so this ends after (longest
+    """Full stationary vector from the censored chain's: a censored page's
+    mass is what its kept in-links bring (P x with the censored pages at
+    0), plus the mass of each censored page that links to it, added in
+    ascending page order, repeated until it stops changing. The censored
+    pages' links form a forest, so this ends after (longest
     single-out-link path + 1) sweeps."""
-    matrix = csr_array(matrix)
+    matrix = csc_array(matrix)
     censored = np.flatnonzero(single)
-    into_censored = matrix[censored]
+    successor = matrix.indices[matrix.indptr[censored]]
     x = np.zeros(matrix.shape[0])
     x[~single] = y
+    from_kept = csr_array(matrix) @ x
     while True:
-        pushed = into_censored @ x
-        if np.array_equal(pushed, x[censored]):
+        pushed = from_kept.copy()
+        np.add.at(pushed, successor, x[censored])
+        if np.array_equal(pushed[censored], x[censored]):
             return x / x.sum()
-        x[censored] = pushed
+        x[censored] = pushed[censored]
 
 
 def _old_stationary(
@@ -681,7 +685,7 @@ def test_q_holds_each_kept_link_in_p_order():
 def _owned_arrays(plan):
     """The index arrays a plan holds besides P's ``indptr`` and ``indices``."""
     to_s = [] if plan.to_s is None else [plan.to_s]
-    return to_s + [a for level in plan.levels for a in level]
+    return to_s + [*plan.levels]
 
 
 def _assert_csc_q_is_the_old_q(g, seed):
@@ -739,7 +743,30 @@ def test_censored_chain_is_stochastic_with_an_entry_per_kept_link(g, seed):
 def test_plan_arrays_do_not_grow():
     # the baseline's plan is held for a whole sweep
     plan, _ = surfer._censor(transition_matrix(scale_free_graph(50_000, seed=1)).entries)
-    assert plan.single.nbytes + sum(a.nbytes for a in _owned_arrays(plan)) <= 621_072
+    assert plan.single.nbytes + sum(a.nbytes for a in _owned_arrays(plan)) <= 352_808
+
+
+def test_levels_hold_pages_deepest_first_ascending_within_a_depth():
+    single = np.array([True, False, True, True, True, False, True])
+    depth = np.array([2, 0, 1, 3, 2, 0, 1], dtype=np.int32)
+    levels = surfer._levels(single, depth)
+    assert [level.tolist() for level in levels] == [[3], [0, 4], [2, 6]]
+    assert all(level.dtype == np.int32 for level in levels)
+
+
+def test_building_a_plan_makes_no_csr_copy_of_p(monkeypatch):
+    converted, tocsr = [], csc_array.tocsr
+
+    def spy(self, *args, **kwargs):
+        converted.append(self.shape)
+        return tocsr(self, *args, **kwargs)
+
+    p = transition_matrix(_deep_chain_graph()).entries
+    monkeypatch.setattr(csc_array, "tocsr", spy)
+    plan, q = surfer._censor(p)
+    assert converted == []
+    # Q's diagonal entry settles its period, so the search needs no rows
+    assert plan.levels and q.diagonal()[0] > 0
 
 
 def _synth_run(seed=2):
@@ -845,13 +872,13 @@ def _csc_products(monkeypatch):
     return products
 
 
-def test_an_aperiodic_solve_multiplies_by_a_csc_matrix_once(monkeypatch):
+def test_an_aperiodic_solve_multiplies_by_p_twice(monkeypatch):
     p = transition_matrix(scale_free_graph(300, seed=2))
     products = _csc_products(monkeypatch)
     res = stationary(p)
     assert res.plan.levels and res.iterations > 1
-    # only the certificate's product ||P pi - pi|| is left
-    assert [shape for shape, sparse in products if not sparse] == [p.entries.shape]
+    # the recovery's product, then the certificate's ||P pi - pi||
+    assert [shape for shape, sparse in products if not sparse] == [p.entries.shape] * 2
 
 
 def test_q_is_built_once_per_solve_with_no_sparse_product(monkeypatch):
