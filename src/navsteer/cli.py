@@ -99,6 +99,7 @@ def _solve(args):
     Returns the graph, the original index of each of its nodes, the solve
     and the sidecar fields that the stationary and lorenz reports share.
     """
+    check_solver_settings(args.tolerance, args.max_iterations)
     g, kept, provenance = _prepare_graph(args.input, args.strict)
     result = stationary(transition_matrix(g), args.tolerance, args.max_iterations)
     sidecar = {

@@ -149,7 +149,8 @@ def _power_iteration(matrix, v, tolerance, steps, history):
         v = v_next
         if history[-1] < tolerance:
             break
-    return v / v.sum(), history[-1] < tolerance
+    # scipy gives a 1x1 chain's product as a scalar
+    return np.atleast_1d(v / v.sum()), history[-1] < tolerance
 
 
 @dataclass(frozen=True, eq=False)
@@ -163,11 +164,11 @@ class SolvePlan:
     - ``single``, the mask of the pages censored out;
     - ``to_s``, where each page's mass lands in Q: page i's on the page
       at position ``to_s[i]`` of the kept pages S;
-    - ``levels``, the censored pages, one array per number of links to
-      the first page of S, farthest first, each array ascending.
+    - ``levels``, the censored pages more than one link from S, one array
+      per number of links to the first page of S, farthest first, each ascending.
 
-    When nothing is censored, ``single`` is all False, Q is P itself and
-    ``to_s`` is None.
+    Only when nothing is censored is ``to_s`` None; ``single`` is then all
+    False and Q is P itself.
     """
 
     indptr: np.ndarray
@@ -209,8 +210,7 @@ def _censor(matrix):
         jump = jump[jump]
     if single.any() and not single[jump].any():
         to_s = (np.cumsum(~single, dtype=itype) - 1)[jump]
-        plan = SolvePlan(matrix.indptr, matrix.indices, single, to_s,
-                         _levels(single, depth))
+        plan = SolvePlan(matrix.indptr, matrix.indices, single, to_s, _levels(depth))
         q = _censored(plan, matrix)
         # a diagonal entry is a cycle of length 1
         if np.any(q.indices == column_of_entries(q)) or chain_period(q) == 1:
@@ -218,12 +218,13 @@ def _censor(matrix):
     return SolvePlan(matrix.indptr, matrix.indices, np.zeros(n, dtype=bool)), matrix
 
 
-def _levels(single, depth):
-    """The censored pages, one array per depth, deepest first and ascending
-    within a depth, in ``depth``'s index type."""
-    pages = np.flatnonzero(single).astype(depth.dtype)
+def _levels(depth):
+    """The censored pages more than one link from S, one array per depth,
+    deepest first and ascending within a depth, in ``depth``'s index type."""
+    pages = np.flatnonzero(depth > 1).astype(depth.dtype)
     pages = pages[np.argsort(-depth[pages], kind="stable")]
-    return tuple(np.split(pages, np.flatnonzero(np.diff(depth[pages])) + 1))
+    cuts = np.flatnonzero(np.diff(depth[pages])) + 1
+    return tuple(np.split(pages, cuts)) if pages.size else ()  # np.split of [] is [[]]
 
 
 def _censored(plan: SolvePlan, matrix):
@@ -242,14 +243,12 @@ def _censored(plan: SolvePlan, matrix):
 
 
 def _recover(plan: SolvePlan, matrix, y):
-    """Full stationary vector from the censored chain's: one product with
-    P brings each censored page its kept in-links' mass, then level by
-    level, deepest first, each page passes all of it along its one link
-    (weight 1.0); the last level's successors are kept pages."""
-    x = np.zeros(matrix.shape[0])
-    x[~plan.single] = y
+    """Full stationary vector from the censored chain's: the kept pages take y
+    through ``to_s``, one product with P brings each censored page its kept
+    in-links' mass, then each level, deepest first, passes it along its one link."""
+    x = y[plan.to_s] * ~plan.single  # a kept page's to_s is its own position
     x += plan.single * (matrix @ x)  # the kept pages add 0.0
-    for pages in plan.levels[:-1]:
+    for pages in plan.levels:
         np.add.at(x, matrix.indices[matrix.indptr[pages]], x[pages])
     return x / x.sum()
 
@@ -272,8 +271,8 @@ def stationary(
     aperiodic chain: the plan is reused when its links equal P's, else
     rebuilt for P with no check of P. (A plan of an unrelated chain is a
     caller error; a periodic P then fails only as its iteration does.)
-    The chain the plan picks (P when nothing is censored) is iterated from
-    its uniform vector, ``iterations`` counts its steps, censored pages
+    The chain the plan picks (P when its ``to_s`` is None) is iterated
+    from its uniform vector, ``iterations`` counts its steps, censored pages
     are recovered, and the result must satisfy ||P pi - pi||_1 <=
     max(1e-9, 1e3 * tolerance), which guards pi whatever the plan. The
     result carries the plan it used. A plan changes no output byte.
@@ -295,7 +294,7 @@ def stationary(
     y, done = _power_iteration(q, np.full(q.shape[0], 1.0 / q.shape[0]),
                                tolerance, max_iterations, history)
     # recovering an empty set would renormalise y and move its last bits
-    x = _recover(plan, matrix, y) if plan.levels else y
+    x = _recover(plan, matrix, y) if plan.to_s is not None else y
     if not done:
         raise ConvergenceError(
             f"power iteration did not reach tolerance {tolerance:g} within "

@@ -456,6 +456,18 @@ def test_bad_settings_are_named_before_the_input_is_read(tmp_path, capsys, comma
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["stationary", "lorenz"])
+@pytest.mark.parametrize("flag, value, message", [
+    ("--tolerance", "-1", "tolerance must be finite and positive"),
+    ("--max-iterations", "0", "max_iterations must be at least 1"),
+])
+def test_solver_flags_are_checked_before_the_input_is_read(tmp_path, capsys, command,
+                                                           flag, value, message):
+    assert main([command, str(tmp_path / "missing.tsv"), flag, value]) == 2
+    err = capsys.readouterr().err
+    assert message in err and "No such file" not in err
+
+
 def test_sweep_bytes_do_not_follow_the_blas_thread_count(tmp_path):
     # OpenBLAS splits a dot product of more than 10 000 terms over its
     # threads, which moved the last bits of pi_t, pi_t_prime and tau

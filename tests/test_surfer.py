@@ -743,15 +743,34 @@ def test_censored_chain_is_stochastic_with_an_entry_per_kept_link(g, seed):
 def test_plan_arrays_do_not_grow():
     # the baseline's plan is held for a whole sweep
     plan, _ = surfer._censor(transition_matrix(scale_free_graph(50_000, seed=1)).entries)
-    assert plan.single.nbytes + sum(a.nbytes for a in _owned_arrays(plan)) <= 352_808
+    assert plan.single.nbytes + sum(a.nbytes for a in _owned_arrays(plan)) <= 303_004
 
 
 def test_levels_hold_pages_deepest_first_ascending_within_a_depth():
-    single = np.array([True, False, True, True, True, False, True])
     depth = np.array([2, 0, 1, 3, 2, 0, 1], dtype=np.int32)
-    levels = surfer._levels(single, depth)
-    assert [level.tolist() for level in levels] == [[3], [0, 4], [2, 6]]
+    levels = surfer._levels(depth)
+    # the depth-1 pages 2 and 6 link straight into S, so recovery never walks them
+    assert [level.tolist() for level in levels] == [[3], [0, 4]]
     assert all(level.dtype == np.int32 for level in levels)
+    assert surfer._levels(np.array([1, 0, 1, 0], dtype=np.int32)) == ()
+
+
+def test_a_plan_whose_censored_pages_all_link_into_s_is_still_recovered():
+    # every censored page of the merged-links graph links straight to page 0
+    p = transition_matrix(_merged_links_graph())
+    plan, _ = surfer._censor(p.entries)
+    assert plan.to_s is not None and plan.levels == ()
+    assert _outcome(stationary, p) == _outcome(_old_stationary, p)
+
+
+def test_a_one_page_chain_solves_to_a_vector():
+    # scipy multiplies a 1x1 matrix into a scalar; the solve must still give a vector
+    res = stationary(TransitionMatrix(1, csc_array(np.ones((1, 1)))))
+    assert res.pi.tolist() == [1.0] and res.iterations == 1
+    # pages 0 and 2 have one link each, so Q keeps page 1 alone
+    p = transition_matrix(WeightedDigraph.from_edges(3, [0, 1, 1, 2], [1, 0, 2, 0]))
+    assert stationary(p).plan.single.tolist() == [True, False, True]
+    assert _outcome(stationary, p) == _outcome(_old_stationary, p)
 
 
 def test_building_a_plan_makes_no_csr_copy_of_p(monkeypatch):
